@@ -252,11 +252,22 @@ int cmd_run(const std::vector<std::string>& args, bool allow_overrides) {
                     result.total_events, result.total_wall_ms,
                     result.total_events / result.total_wall_ms / 1000.0);
       }
-      std::printf("queue[%s]: buckets=%.0f rung_spawns=%.0f "
-                  "overflow_peak=%.0f reseeds=%.0f\n",
-                  sim::queue_backend_name(spec.engine),
-                  result.queue.max_bucket_count, result.queue.rung_spawns,
-                  result.queue.max_overflow_peak, result.queue.reseeds);
+      {
+        // Ordering work per fired event: what the drain paid to restore
+        // (time, seq) order (sorted) or to skip it (horizon-scanned).
+        const double fired = result.total_events;
+        std::printf("queue[%s]: buckets=%.0f rung_spawns=%.0f "
+                    "overflow_peak=%.0f reseeds=%.0f rewindows=%.0f "
+                    "sorts=%.0f sorted_entries=%.0f horizon_scanned=%.0f "
+                    "sorted_per_event=%.2f scanned_per_event=%.2f\n",
+                    sim::queue_backend_name(spec.engine),
+                    result.queue.max_bucket_count, result.queue.rung_spawns,
+                    result.queue.max_overflow_peak, result.queue.reseeds,
+                    result.queue.rewindows, result.queue.sorts,
+                    result.queue.sorted_entries, result.queue.horizon_scanned,
+                    fired > 0.0 ? result.queue.sorted_entries / fired : 0.0,
+                    fired > 0.0 ? result.queue.horizon_scanned / fired : 0.0);
+      }
       std::printf("runs[%s]: part_runs=%.0f part_events=%.0f "
                   "run_events=%.0f\n",
                   sim::queue_backend_name(spec.engine),

@@ -122,6 +122,10 @@ RunResult::QueueTiers queue_tiers(const sim::EventQueue::TierStats& stats) {
   tiers.narrow_events = static_cast<double>(stats.narrow_events);
   tiers.wide_events = static_cast<double>(stats.wide_events);
   tiers.group_inserts = static_cast<double>(stats.group_inserts);
+  tiers.sorts = static_cast<double>(stats.sorts);
+  tiers.sorted_entries = static_cast<double>(stats.sorted_entries);
+  tiers.horizon_scanned = static_cast<double>(stats.horizon_scanned);
+  tiers.rewindows = static_cast<double>(stats.rewindows);
   return tiers;
 }
 

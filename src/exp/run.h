@@ -79,6 +79,13 @@ struct RunResult {
     double narrow_events = 0.0;   ///< 16 B narrow deliveries scheduled
     double wide_events = 0.0;     ///< 32 B entries scheduled
     double group_inserts = 0.0;   ///< coalesced fan-out groups created
+    // Ordering work (EventQueue::TierStats): drain sorts, the entries they
+    // sorted, partitioned-drain horizon classifications, and hot-head
+    // window rebuilds.
+    double sorts = 0.0;
+    double sorted_entries = 0.0;
+    double horizon_scanned = 0.0;
+    double rewindows = 0.0;
   };
   QueueTiers queue;
 

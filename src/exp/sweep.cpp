@@ -166,6 +166,10 @@ SweepResult SweepRunner::run(const ScenarioSpec& spec) const {
     sweep.queue.narrow_events += tiers.narrow_events;
     sweep.queue.wide_events += tiers.wide_events;
     sweep.queue.group_inserts += tiers.group_inserts;
+    sweep.queue.sorts += tiers.sorts;
+    sweep.queue.sorted_entries += tiers.sorted_entries;
+    sweep.queue.horizon_scanned += tiers.horizon_scanned;
+    sweep.queue.rewindows += tiers.rewindows;
     const RunResult::ShardDiag& shard = results[i].shard;
     if (shard.shards > 0.0) {
       sweep.shard.min_cut_delay =

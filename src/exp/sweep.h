@@ -65,6 +65,12 @@ struct SweepResult {
     double narrow_events = 0.0;
     double wide_events = 0.0;
     double group_inserts = 0.0;
+    // Ordering work, summed over tasks: drain sorts and the entries they
+    // sorted, horizon-scan classifications, hot-head window rebuilds.
+    double sorts = 0.0;
+    double sorted_entries = 0.0;
+    double horizon_scanned = 0.0;
+    double rewindows = 0.0;
   };
   QueueTierTotals queue;
 

@@ -1,6 +1,7 @@
 #include "obs/metrics.h"
 
 #include <cstdio>
+#include <stdexcept>
 
 namespace ftgcs::obs {
 
@@ -15,6 +16,19 @@ void append_json_u64(std::string& out, std::uint64_t v) {
   const int n = std::snprintf(buf, sizeof(buf), "%llu",
                               static_cast<unsigned long long>(v));
   out.append(buf, static_cast<std::size_t>(n));
+}
+
+void write_row(std::FILE* file, const std::string& row,
+               const std::string& path) {
+  if (std::fwrite(row.data(), 1, row.size(), file) != row.size()) {
+    throw std::runtime_error("obs: short write to '" + path + "'");
+  }
+}
+
+void close_file(std::FILE* file, const std::string& path) {
+  if (std::fclose(file) != 0) {
+    throw std::runtime_error("obs: cannot flush '" + path + "'");
+  }
 }
 
 Counter* MetricsRegistry::add_counter(const std::string& name) {

@@ -21,6 +21,7 @@
 #pragma once
 
 #include <cstdint>
+#include <cstdio>
 #include <deque>
 #include <string>
 #include <vector>
@@ -37,6 +38,16 @@ namespace ftgcs::obs {
 /// enabled envelope family only).
 void append_json_double(std::string& out, double v);
 void append_json_u64(std::string& out, std::uint64_t v);
+
+/// Checked output for the metrics series and the .profile sidecar: a full
+/// disk must fail the run with std::runtime_error naming `path`, never
+/// leave a silently truncated file. write_row throws on a short fwrite;
+/// close_file throws when fclose's final flush fails (the stdio buffer
+/// usually hides a full disk until then). close_file closes `file` either
+/// way.
+void write_row(std::FILE* file, const std::string& row,
+               const std::string& path);
+void close_file(std::FILE* file, const std::string& path);
 
 struct Counter {
   std::uint64_t value = 0;

@@ -5,6 +5,7 @@
 
 #include <chrono>
 #include <cstring>
+#include <stdexcept>
 
 #include "obs/metrics.h"
 #include "support/assert.h"
@@ -27,12 +28,23 @@ double to_ms(std::uint64_t ns) { return static_cast<double>(ns) / 1e6; }
 PhaseProfiler::PhaseProfiler(const std::string& path) : path_(path) {
   FTGCS_EXPECTS(!path_.empty());
   file_ = std::fopen(path_.c_str(), "wb");
-  FTGCS_EXPECTS(file_ != nullptr);
+  if (file_ == nullptr) {
+    throw std::runtime_error("obs: cannot create '" + path_ + "'");
+  }
   line_ = "{\"schema\":\"ftgcs-profile-v1\",\"plane\":\"nondeterministic\"}\n";
-  std::fwrite(line_.data(), 1, line_.size(), file_);
+  try {
+    write_row(file_, line_, path_);
+  } catch (...) {
+    std::fclose(file_);  // the dtor does not run for a throwing ctor
+    throw;
+  }
 }
 
-PhaseProfiler::~PhaseProfiler() { finish(); }
+PhaseProfiler::~PhaseProfiler() {
+  // Unchecked on purpose: a destructor must not throw, and a caller that
+  // wants the rows and the close checked calls finish() first.
+  if (file_ != nullptr) std::fclose(file_);
+}
 
 void PhaseProfiler::bind_shards(int shards) {
   FTGCS_EXPECTS(shards >= 0);
@@ -113,7 +125,7 @@ void PhaseProfiler::probe_diag(double at,
     append_json_u64(line_, shards[s].fired);
   }
   line_ += "}\n";
-  std::fwrite(line_.data(), 1, line_.size(), file_);
+  write_row(file_, line_, path_);
 }
 
 double PhaseProfiler::imbalance() const {
@@ -159,7 +171,7 @@ void PhaseProfiler::finish() {
     line_ += ",\"windows\":";
     append_json_u64(line_, slot.windows);
     line_ += "}\n";
-    std::fwrite(line_.data(), 1, line_.size(), file_);
+    write_row(file_, line_, path_);
   }
   if (!slots_.empty()) {
     const PhaseTotals t = totals();
@@ -175,7 +187,7 @@ void PhaseProfiler::finish() {
     line_ += ",\"imbalance\":";
     append_json_double(line_, imbalance());
     line_ += "}\n";
-    std::fwrite(line_.data(), 1, line_.size(), file_);
+    write_row(file_, line_, path_);
   }
   for (int i = 0; i < num_spans_; ++i) {
     line_.clear();
@@ -184,10 +196,11 @@ void PhaseProfiler::finish() {
     line_ += "\",\"ms\":";
     append_json_double(line_, to_ms(spans_[i].total_ns));
     line_ += "}\n";
-    std::fwrite(line_.data(), 1, line_.size(), file_);
+    write_row(file_, line_, path_);
   }
-  std::fclose(file_);
+  std::FILE* file = file_;
   file_ = nullptr;
+  close_file(file, path_);
 }
 
 }  // namespace ftgcs::obs

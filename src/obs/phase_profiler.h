@@ -79,7 +79,9 @@ class PhaseProfiler {
                   const std::vector<ShardWindowDiag>& shards);
 
   /// Writes the "phase"/"summary"/"span" rows and closes the file
-  /// (idempotent; also run by the dtor). Call after workers joined.
+  /// (idempotent). Throws std::runtime_error naming the path on a short
+  /// write or a failed flush; the dtor closes an unfinished file without
+  /// checking. Call after workers joined.
   void finish();
 
   /// max/mean per-shard run-phase time; 0 until >= 1 shard has run time.

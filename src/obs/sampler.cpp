@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <limits>
+#include <stdexcept>
 
 #include "support/assert.h"
 
@@ -54,11 +55,22 @@ ProbeSampler::ProbeSampler(Config config, exp::TopologyGraph graph)
   }
 
   file_ = std::fopen(path_.c_str(), "wb");
-  FTGCS_EXPECTS(file_ != nullptr);
-  write_header(config);
+  if (file_ == nullptr) {
+    throw std::runtime_error("obs: cannot create '" + path_ + "'");
+  }
+  try {
+    write_header(config);
+  } catch (...) {
+    std::fclose(file_);  // the dtor does not run for a throwing ctor
+    throw;
+  }
 }
 
-ProbeSampler::~ProbeSampler() { finish(); }
+ProbeSampler::~ProbeSampler() {
+  // Unchecked on purpose: a destructor must not throw, and a caller that
+  // wants the close checked calls finish() first (exp::run_point does).
+  if (file_ != nullptr) std::fclose(file_);
+}
 
 void ProbeSampler::write_header(const Config& config) {
   // The header carries the shape + bounds a reader needs to interpret
@@ -88,7 +100,7 @@ void ProbeSampler::write_header(const Config& config) {
   line_ += ",\"bound_m_lag\":";
   append_json_double(line_, config.monitors ? config.bounds.m_lag : 0.0);
   line_ += "}\n";
-  std::fwrite(line_.data(), 1, line_.size(), file_);
+  write_row(file_, line_, path_);
   bytes_ += line_.size();
 }
 
@@ -169,15 +181,15 @@ void ProbeSampler::sample(const SampleContext& ctx) {
   append_json_u64(line_, probes_);
   registry_.append_fields(line_);
   line_ += "}\n";
-  std::fwrite(line_.data(), 1, line_.size(), file_);
+  write_row(file_, line_, path_);
   bytes_ += line_.size();
 }
 
 void ProbeSampler::finish() {
-  if (file_ != nullptr) {
-    std::fclose(file_);
-    file_ = nullptr;
-  }
+  if (file_ == nullptr) return;
+  std::FILE* file = file_;
+  file_ = nullptr;
+  close_file(file, path_);
 }
 
 }  // namespace ftgcs::obs

@@ -86,7 +86,9 @@ class ProbeSampler {
   /// one JSONL row.
   void sample(const SampleContext& ctx);
 
-  /// Flushes and closes the file (idempotent; also run by the dtor).
+  /// Flushes and closes the file (idempotent). Throws std::runtime_error
+  /// naming the path if the flush fails, as sample() does for a short
+  /// write. The dtor closes an unfinished file without checking.
   void finish();
 
   std::uint64_t probes() const { return probes_; }

@@ -313,6 +313,10 @@ sim::EventQueue::TierStats ShardedFtGcsSystem::queue_stats() const {
     stats.narrow_events += tier.narrow_events;
     stats.wide_events += tier.wide_events;
     stats.group_inserts += tier.group_inserts;
+    stats.sorts += tier.sorts;
+    stats.sorted_entries += tier.sorted_entries;
+    stats.horizon_scanned += tier.horizon_scanned;
+    stats.rewindows += tier.rewindows;
   }
   return stats;
 }

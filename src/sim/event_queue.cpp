@@ -53,6 +53,20 @@ void EventQueue::prewarm() {
     b.items.reserve(wide);
     b.narrow.reserve(narrow);
   }
+  // A rewindow pours the whole live window into the bag: size the bag for
+  // twice the current population of each lane so that cannot allocate.
+  std::size_t live_wide = bag_.size();
+  std::size_t live_narrow = bag_narrow_.size();
+  for (const Bucket& b : wheel_) {
+    live_wide += b.items.size();
+    live_narrow += b.narrow.size();
+  }
+  for (const Bucket& b : rung_) {
+    live_wide += b.items.size();
+    live_narrow += b.narrow.size();
+  }
+  bag_.reserve(2 * live_wide);
+  bag_narrow_.reserve(2 * live_narrow);
 }
 
 std::uint32_t EventQueue::acquire_slot() {
@@ -281,10 +295,12 @@ void EventQueue::sort_bucket(Bucket& bucket) {
   // Lanes sort independently: a clean lane (common when only the delivery
   // band's narrow inserts dirtied the head) keeps its existing order —
   // pops and the unordered compaction both preserve it.
+  ++stats_.sorts;
   if (!bucket.sorted_wide) {
     std::sort(bucket.items.begin(), bucket.items.end(),
               [](const Entry& a, const Entry& b) { return earlier(b, a); });
     bucket.sorted_wide = true;
+    stats_.sorted_entries += bucket.items.size();
   }
   if (!bucket.sorted_narrow) {
     std::sort(bucket.narrow.begin(), bucket.narrow.end(),
@@ -292,6 +308,7 @@ void EventQueue::sort_bucket(Bucket& bucket) {
                 return earlier(b, a);
               });
     bucket.sorted_narrow = true;
+    stats_.sorted_entries += bucket.narrow.size();
   }
   head_cache_ = &bucket;
 }
@@ -370,20 +387,33 @@ void EventQueue::reseed() {
   // NaN if the window originated at infinity; origin 0 keeps their
   // offsets +inf instead, which clamp_bucket_index sends to the last
   // bucket — still exact (time, seq) pop order.
-  if (!std::isfinite(tmin)) tmin = 0.0;
+  const bool finite = std::isfinite(tmin);
+  if (!finite) tmin = 0.0;
   // Auto-tune: a few events per bucket at the observed density, with the
   // window stretched kWindowStretch past the span so steady-state pushes
   // keep landing in buckets (see the constant's comment). The width floor
   // keeps indices finite when the whole population shares one timestamp
   // (relative epsilon, so 1e9-scale horizons still resolve).
-  bucket_width_ =
-      std::max(kWindowStretch * (tmax - tmin) / static_cast<double>(wheel_nb_),
-               std::max(std::abs(tmin), 1.0) * 1e-15);
+  const double floor = std::max(std::abs(tmin), 1.0) * 1e-15;
+  bucket_width_ = std::max(
+      kWindowStretch * (tmax - tmin) / static_cast<double>(wheel_nb_), floor);
+  // After a rewindow the head's own density sets the width instead, and
+  // the window ends where its buckets end: entries beyond stay in the bag.
+  const bool partial = finite && dense_width_ > 0.0 &&
+                       dense_width_ < bucket_width_;
+  if (partial) bucket_width_ = std::max(dense_width_, floor);
   win_start_ = tmin;
   win_end_ = win_start_ + bucket_width_ * static_cast<double>(wheel_nb_);
   wheel_cur_ = 0;
-  // The bag is a plain vector: transfer with one linear scan, no pops.
+  // The bag is a plain vector: transfer with one linear scan, no pops;
+  // entries that stay are compacted in place (their positions rewritten).
+  std::size_t keep = 0;
   for (const Entry& e : bag_) {
+    if (partial && e.at >= win_end_) {
+      if (!e.is_inline()) positions_[e.slot()] = keep;
+      bag_[keep++] = e;
+      continue;
+    }
     const std::size_t index = clamp_bucket_index(
         (e.at - win_start_) / bucket_width_, 0, wheel_nb_ - 1);
     Bucket& target = wheel_[index];
@@ -395,7 +425,13 @@ void EventQueue::reseed() {
     target.sorted_wide = false;
     target.scan_valid = false;
   }
+  bag_.resize(keep);
+  std::size_t keep_narrow = 0;
   for (const NarrowEntry& e : bag_narrow_) {
+    if (partial && e.at >= win_end_) {
+      bag_narrow_[keep_narrow++] = e;
+      continue;
+    }
     const std::size_t index = clamp_bucket_index(
         (e.at - win_start_) / bucket_width_, 0, wheel_nb_ - 1);
     Bucket& target = wheel_[index];
@@ -403,11 +439,65 @@ void EventQueue::reseed() {
     target.sorted_narrow = false;
     target.scan_valid = false;
   }
-  wheel_live_ = n;
-  bag_.clear();
-  bag_narrow_.clear();
+  bag_narrow_.resize(keep_narrow);
+  wheel_live_ = n - keep - keep_narrow;
+  // tmin itself always transfers, so the window is never empty.
+  FTGCS_ASSERT(wheel_live_ != 0);
+  // A window too narrow for the population costs a bag scan per handful
+  // of events: when the transfer did not pay for the scan at the hot-head
+  // rate, later reseeds fall back to the span-derived width.
+  if (partial && wheel_live_ * kHotWork < n) dense_width_ = 0.0;
   ++stats_.reseeds;
   stats_.bucket_count = std::max(stats_.bucket_count, wheel_nb_);
+  win_fired0_ = fired_count();
+  win_work0_ = ordering_work();
+  win_seeded_ = wheel_live_;
+}
+
+double EventQueue::hot_head_width(const Bucket& bucket) const {
+  const std::uint64_t fired = fired_count() - win_fired0_;
+  if (fired < std::max<std::uint64_t>(kHotMinFired, win_seeded_) ||
+      ordering_work() - win_work0_ < kHotWork * fired) {
+    return 0.0;
+  }
+  // Brown's calendar-queue resize rule, applied to the head bucket: its
+  // mean entry separation, so each of its entries would get a bucket of
+  // its own. Both lanes are sorted descending: the span is O(1) to read.
+  Time lo = kTimeInfinity;
+  Time hi = -kTimeInfinity;
+  if (!bucket.items.empty()) {
+    lo = bucket.items.back().at;
+    hi = bucket.items.front().at;
+  }
+  if (!bucket.narrow.empty()) {
+    lo = std::min(lo, bucket.narrow.back().at);
+    hi = std::max(hi, bucket.narrow.front().at);
+  }
+  const double width = (hi - lo) / static_cast<double>(bucket_size(bucket));
+  return width > 0.0 && width * kMinShrink < bucket_width_ ? width : 0.0;
+}
+
+void EventQueue::rewindow(double width) {
+  FTGCS_ASSERT(!rung_active_);
+  head_cache_ = nullptr;
+  for (std::size_t b = wheel_cur_; b < wheel_nb_; ++b) {
+    Bucket& bucket = wheel_[b];
+    for (const Entry& e : bucket.items) {
+      if (!e.is_inline()) positions_[e.slot()] = bag_.size();
+      bag_.push_back(e);
+    }
+    bag_narrow_.insert(bag_narrow_.end(), bucket.narrow.begin(),
+                       bucket.narrow.end());
+    bucket.items.clear();
+    bucket.narrow.clear();
+    bucket.sorted_wide = false;
+    bucket.sorted_narrow = false;
+    bucket.scan_valid = false;
+  }
+  wheel_live_ = 0;
+  wheel_cur_ = wheel_nb_;
+  dense_width_ = width;
+  ++stats_.rewindows;
 }
 
 bool EventQueue::prepare_head() {
@@ -434,7 +524,16 @@ bool EventQueue::prepare_head() {
         spawn_rung(bucket);
         continue;
       }
-      if (!bucket_sorted(bucket)) sort_bucket(bucket);
+      if (!bucket_sorted(bucket)) {
+        sort_bucket(bucket);
+        // A head that keeps absorbing inserts is re-sorted per pop: the
+        // window is too coarse for the traffic near the drain position.
+        const double width = hot_head_width(bucket);
+        if (width > 0.0) {
+          rewindow(width);
+          continue;  // the window is empty now: reseed below
+        }
+      }
       head_cache_ = &bucket;
       return true;
     }
@@ -689,6 +788,7 @@ std::size_t EventQueue::pop_run_unordered(Time t_end, std::uint32_t sink_kind,
         bad = std::min(bad, e.at);
       }
       decoded = true;
+      stats_.horizon_scanned += items.size() + mn0;
       bucket.bad_floor = bad;
       bucket.good_floor = good;
       bucket.scan_valid = true;

@@ -33,6 +33,18 @@
 // order, so the pop sequence is bit-identical between backends (pinned by
 // tests/test_queue_differential.cpp and the golden scenario traces).
 //
+// The span-derived width fails when a few far outliers set the span: with
+// the paper's exact constants, round timers ~6·10^5 delays out stretch the
+// buckets so wide that every in-flight delivery sits in the drain head,
+// and each insert there costs a re-sort of the whole head per pop. The
+// window therefore adapts to the density at the drain position: when the
+// ordering work per fired event since the last reseed crosses kHotWork,
+// the live window is poured back into the bag ("rewindow") and reseeded
+// with the head bucket's mean entry separation as the width. Later
+// reseeds keep that width and transfer only the entries below the new
+// window end; the far outliers stay in the bag, so EVERY BAG ENTRY IS
+// ≥ win_end_ after a reseed, whichever width it used.
+//
 // Three further ladder-only specializations carry the 40k-node workloads:
 //   * fire-only events (schedule_fire_only — all network deliveries) store
 //     their payload INLINE in the bucket entry: no slot acquire, no
@@ -254,6 +266,14 @@ class EventQueue {
     std::uint64_t narrow_events = 0;   ///< 16 B narrow deliveries scheduled
     std::uint64_t wide_events = 0;     ///< 32 B entries scheduled
     std::uint64_t group_inserts = 0;   ///< coalesced fan-out groups created
+    // Ordering work (ladder): what the drain paid to restore or skip
+    // (time, seq) order. Per fired event, these are the queue layer's cost
+    // in the sparse regime, where one hot head bucket absorbs the inserts.
+    std::uint64_t sorts = 0;            ///< drain sorts of a bucket
+    std::uint64_t sorted_entries = 0;   ///< entries in the lanes they sorted
+    std::uint64_t horizon_scanned = 0;  ///< entries classified by the
+                                        ///< partitioned drain's horizon scan
+    std::uint64_t rewindows = 0;  ///< windows rebuilt for a hot head bucket
 
     /// Entry bytes written at schedule time under the ladder layout
     /// (16 B narrow + 32 B wide + one 40 B group record per fan-out; the
@@ -449,6 +469,21 @@ class EventQueue {
   /// does not degenerate into scanning thousands of empty sub-buckets.
   static constexpr std::size_t kRungFanout = 16;
   static constexpr std::size_t kMaxRungBuckets = 4096;
+  /// Hot-head trigger (see hot_head_width): the window is rebuilt around
+  /// the head's own density once ordering work — entries sorted plus
+  /// entries horizon-scanned — exceeds kHotWork per fired event since the
+  /// last reseed. Measured at every trigger evaluation (EXPERIMENTS.md,
+  /// "Sparse regime"): at most 4.2 on the tori and the E1 grid, 33 on the
+  /// paper-strict pair.
+  static constexpr std::uint64_t kHotWork = 8;
+  /// Fired events a window must have served before its ratio is trusted
+  /// (at least this many, and at least as many as the reseed moved in):
+  /// a fresh window's first drain sorts precede its pops, and the opening
+  /// burst of a run piles up its first buckets.
+  static constexpr std::uint64_t kHotMinFired = 1024;
+  /// A rebuild must shrink the bucket width at least this much, or it
+  /// would only re-sort the same pile-up.
+  static constexpr double kMinShrink = 4.0;
 
   template <typename A, typename B = A>
   static bool earlier(const A& a, const B& b) {
@@ -524,7 +559,23 @@ class EventQueue {
   bool prepare_head();
   void sort_bucket(Bucket& bucket);
   void spawn_rung(Bucket& bucket);
+  /// Rebuilds the window from the overflow tier. Only entries below the
+  /// new window end move into buckets; the rest stay in the bag, so every
+  /// bag entry is ≥ win_end_ afterwards.
   void reseed();
+  /// The bucket width the sorted drain head `bucket` asks for when the
+  /// window has been doing more than kHotWork ordering work per fired
+  /// event; 0 when the head is not hot (or the width would barely shrink).
+  double hot_head_width(const Bucket& bucket) const;
+  /// Pours every live window entry back into the overflow tier and pins
+  /// `width` for the following reseeds.
+  void rewindow(double width);
+  std::uint64_t fired_count() const {
+    return pops_ + stats_.ordered_run_events + stats_.unordered_events;
+  }
+  std::uint64_t ordering_work() const {
+    return stats_.sorted_entries + stats_.horizon_scanned;
+  }
 
   QueueBackend backend_ = QueueBackend::kHeap;
 
@@ -555,6 +606,15 @@ class EventQueue {
   Time win_end_ = 0.0;          ///< exclusive upper bound; beyond → overflow
   double bucket_width_ = 1.0;
   std::size_t wheel_live_ = 0;
+  /// Bucket width set by the last rewindow (0: none). Reseeds use it in
+  /// place of the span-derived width whenever it is narrower, so a few far
+  /// outliers (round timers) cannot stretch the buckets back over the
+  /// whole near-future population.
+  double dense_width_ = 0.0;
+  std::uint64_t pops_ = 0;        ///< single pops (pop_if_at_most, ladder)
+  std::uint64_t win_fired0_ = 0;  ///< fired_count() at the last reseed
+  std::uint64_t win_work0_ = 0;   ///< ordering_work() at the last reseed
+  std::uint64_t win_seeded_ = 0;  ///< entries the last reseed transferred
 
   std::vector<Bucket> rung_;    ///< one-level fine split of the drain bucket
   std::size_t rung_nb_ = 0;
@@ -731,6 +791,7 @@ inline bool EventQueue::pop_if_at_most(Time t_end, Fired& out) {
     fill_fired(head, out);
     bucket->items.pop_back();
   }
+  ++pops_;
   if (rung_active_) {
     --rung_live_;
   } else {

@@ -9,13 +9,16 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstdio>
 #include <fstream>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "exp/exp.h"
 #include "obs/histogram.h"
+#include "obs/phase_profiler.h"
 #include "obs/report.h"
 #include "obs/sampler.h"
 #include "support/alloc_guard.h"
@@ -183,6 +186,62 @@ TEST(ProbeSampler, SteadyStateSamplingAllocatesNothing) {
   // 4-cycle edge gap is |2.0 − 1.0| = 1.0 every probe.
   EXPECT_EQ(series.rows.back().number("local_max"), 1.0);
   EXPECT_EQ(series.rows.back().number("global_max"), 1.0);
+}
+
+// ---- full disk: typed errors, never a truncated series ---------------------
+
+/// Runs `fn` and returns the std::runtime_error message it threw ("" if
+/// it threw nothing).
+template <typename Fn>
+std::string runtime_error_of(Fn&& fn) {
+  try {
+    fn();
+  } catch (const std::runtime_error& error) {
+    return error.what();
+  }
+  return "";
+}
+
+TEST(ProbeSampler, FullDiskIsATypedErrorNamingThePath) {
+  // /dev/full accepts the open and fails every flush with ENOSPC: the
+  // stdio buffer hides short rows until the close, so finish() must
+  // check it.
+  exp::TopologyGraph graph;
+  graph.num_clusters = 1;
+  graph.cluster_size = 2;
+  graph.adjacency = {{1}, {0}};
+  graph.cluster_of = {0, 0};
+  obs::ProbeSampler::Config config;
+  config.path = "/dev/full";
+  config.monitors = false;
+  const std::string message = runtime_error_of([&] {
+    obs::ProbeSampler sampler(config, graph);
+    sampler.finish();
+  });
+  EXPECT_NE(message.find("'/dev/full'"), std::string::npos) << message;
+}
+
+TEST(PhaseProfiler, FullDiskIsATypedErrorNamingThePath) {
+  const std::string message = runtime_error_of([] {
+    obs::PhaseProfiler profiler("/dev/full");
+    profiler.bind_shards(2);
+    profiler.finish();
+  });
+  EXPECT_NE(message.find("'/dev/full'"), std::string::npos) << message;
+}
+
+TEST(MetricsSeries, MetricsPathOnAFullDiskFailsTheRun) {
+  // `--metrics /dev/full` end to end. The .profile sidecar opens first:
+  // an unprivileged run cannot create /dev/full.profile and fails there,
+  // a privileged one creates it and then fails on the series itself.
+  // Either way the run must end in the typed error, naming the path.
+  exp::register_builtin_scenarios();
+  ScenarioSpec spec = *exp::Registry::instance().find("e9_overhead_scaling");
+  spec.metrics_path = "/dev/full";
+  const std::string message =
+      runtime_error_of([&] { run_point(spec, spec.seeds.front()); });
+  std::remove("/dev/full.profile");
+  EXPECT_NE(message.find("/dev/full"), std::string::npos) << message;
 }
 
 // ---- golden series + engine/shard invariance -------------------------------

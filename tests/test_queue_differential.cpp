@@ -165,6 +165,7 @@ TEST(QueueDifferential, RandomOpStreamPopsIdentically) {
   Differ d;
   Time now = 0.0;
   std::uint64_t popped = 0;
+  int bursts = 0;
   for (int op = 0; op < 25000; ++op) {
     const double pick = rng.next_double();
     if (pick < 0.28 || d.live_count() == 0) {
@@ -199,9 +200,17 @@ TEST(QueueDifferential, RandomOpStreamPopsIdentically) {
       for (int i = 0; i < burst && !d.empty(); ++i) now = d.pop(), ++popped;
     } else if (pick < 0.78) {
       // Schedule burst into one microsecond-wide cluster while far spikes
-      // stretch the window: piles >64 events into one bucket, which must
-      // split into a rung on drain.
+      // stretch the window: piles many events into one bucket, which must
+      // split into a rung on drain. Every 64th burst piles more than the
+      // rung threshold (2048) on its own, so the rung tier stays covered
+      // however fine a rewindow made the buckets; its extra entries are
+      // fire-only (no live-pair bookkeeping).
       const Time cluster = now + 50.0 + rng.next_double();
+      const int pile = bursts++ % 64 == 0 ? 2100 : 100;
+      for (int i = 100; i < pile; ++i) {
+        d.schedule_fire_only(cluster + 1e-6 * rng.next_double(),
+                             op * 1000 + i);
+      }
       for (int i = 0; i < 100; ++i) {
         if (i % 3 == 0) {
           d.schedule(cluster + 1e-6 * rng.next_double(), op * 1000 + i);
@@ -232,6 +241,7 @@ TEST(QueueDifferential, RandomOpStreamPopsIdentically) {
   const auto& stats = d.ladder().tier_stats();
   EXPECT_GT(stats.reseeds, 1u);
   EXPECT_GT(stats.rung_spawns, 0u);
+  EXPECT_GT(stats.rewindows, 0u);  // the near-future mixture heats the head
   EXPECT_GT(stats.overflow_peak, 0u);
   EXPECT_GT(stats.group_inserts, 0u);
   EXPECT_GT(stats.narrow_events, 0u);
@@ -256,6 +266,111 @@ TEST(QueueDifferential, MonotoneSimulationShapedStream) {
   }
   while (!d.empty()) now = d.pop();
   EXPECT_EQ(d.live_count(), 0u);
+}
+
+TEST(QueueDifferential, SparseRegimeRewindowsAndPopsIdentically) {
+  // The paper-strict shape: a handful of cancellable timers ~1e5 delays
+  // out (round timers) set the reseed span, while ~80 deliveries with
+  // delays in [0.999, 1] stay in flight next to the drain position. The
+  // span-derived window puts all of them in the head bucket, so every
+  // pop would re-sort it; the hot-head trigger must rebuild the window
+  // around the head's own density — without changing a single pop.
+  Rng rng(11);
+  Differ d;
+  Time now = 0.0;
+  const auto far_time = [&rng](Time at) {
+    return at + 1e5 * (1.0 + rng.next_double());
+  };
+  for (int i = 0; i < 6; ++i) d.schedule(far_time(now), i);
+  const auto deliver = [&d, &rng](Time at, std::int32_t tag) {
+    std::vector<Duration> delays(8);
+    for (Duration& delay : delays) delay = 0.999 + 1e-3 * rng.next_double();
+    d.schedule_group(at, delays, tag);
+  };
+  for (int i = 0; i < 10; ++i) deliver(rng.next_double(), 1000 + i);
+  std::uint64_t popped = 0;
+  for (int step = 0; step < 120000; ++step) {
+    now = d.pop();
+    ++popped;
+    // Every delivery is replaced one for one: a broadcast of 8 per 8
+    // pops, alternating with single fire-only sends.
+    if (step % 8 == 0) {
+      deliver(now, 2000 + step);
+    }
+    if (step % 97 == 0) {
+      // Re-aim a bag-resident timer (stays far: the in-place bag path).
+      d.reschedule(rng.below(d.live_count()), far_time(now));
+    }
+    if (step % 499 == 0) {
+      // Cancel one from the bag and arm a replacement.
+      d.cancel(rng.below(d.live_count()));
+      d.schedule(far_time(now), 3000 + step);
+    }
+  }
+  const auto& stats = d.ladder().tier_stats();
+  EXPECT_GT(stats.rewindows, 0u);
+  // ~80 entries re-sorted per pop before the rebuild; ≤ 2 over the run.
+  EXPECT_LE(stats.sorted_entries, 2 * popped);
+  while (!d.empty()) now = d.pop();
+}
+
+TEST(QueueDifferential, NarrowWindowFallsBackWhenTrafficThins) {
+  // After a rewindow the narrow width is kept across reseeds — until the
+  // near-future traffic thins out so far that a reseed moves only a few
+  // entries out of a bag of far timers. Then the width must fall back to
+  // the span-derived one instead of paying a bag scan per event.
+  Rng rng(13);
+  Differ d;
+  Time now = 0.0;
+  for (int i = 0; i < 200; ++i) d.schedule(1e5 * (1.0 + rng.next_double()), i);
+  const auto deliver = [&d, &rng](Time at, std::int32_t tag) {
+    std::vector<Duration> delays(8);
+    for (Duration& delay : delays) delay = 0.999 + 1e-3 * rng.next_double();
+    d.schedule_group(at, delays, tag);
+  };
+  for (int i = 0; i < 10; ++i) deliver(rng.next_double(), 1000 + i);
+  for (int step = 0; step < 20000; ++step) {
+    now = d.pop();
+    if (step % 8 == 0) deliver(now, 2000 + step);
+  }
+  ASSERT_GT(d.ladder().tier_stats().rewindows, 0u);
+  // Let the dense traffic drain, then send one event per 10 time units.
+  while (d.ladder().size() > 200) now = d.pop();
+  const std::uint64_t reseeds = d.ladder().tier_stats().reseeds;
+  for (int step = 0; step < 2000; ++step) {
+    d.schedule_fire_only(now + 10.0, 5000 + step);
+    now = d.pop();
+  }
+  // One scan of the bag per sparse event would be ~2000 reseeds.
+  EXPECT_LT(d.ladder().tier_stats().reseeds - reseeds, 20u);
+  while (!d.empty()) now = d.pop();
+}
+
+TEST(QueueDifferential, UniformTorusShapeNeverRewindows) {
+  // The torus shape: thousands of senders keep deliveries in flight and
+  // timers spread over the whole round, so the span-derived window
+  // already holds a few entries per bucket. The ordering work stays low
+  // and the trigger must not fire (its selectivity, pinned).
+  Rng rng(12);
+  Differ d;
+  Time now = 0.0;
+  const auto deliver = [&d, &rng](Time at, std::int32_t tag) {
+    std::vector<Duration> delays(5);
+    for (Duration& delay : delays) delay = 0.999 + 1e-3 * rng.next_double();
+    d.schedule_group(at, delays, tag);
+  };
+  for (int i = 0; i < 800; ++i) deliver(rng.next_double(), i);
+  for (int i = 0; i < 400; ++i) d.schedule(10.0 * rng.next_double(), i);
+  for (int step = 0; step < 60000; ++step) {
+    now = d.pop();
+    if (step % 5 == 0) deliver(now, 1000 + step);
+    if (step % 3 == 0) {
+      // Timer re-aims over the round, as the protocol's timers do.
+      d.reschedule(rng.below(d.live_count()), now + 10.0 * rng.next_double());
+    }
+  }
+  EXPECT_EQ(d.ladder().tier_stats().rewindows, 0u);
+  while (!d.empty()) now = d.pop();
 }
 
 }  // namespace
