@@ -40,7 +40,9 @@
 //   --no-monitors       disable the online invariant monitors (they are on
 //                       by default; results go to the --timing footer)
 //   --quiet             table only, no banner
+#include <charconv>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <iostream>
@@ -84,6 +86,20 @@ std::vector<std::string> split(const std::string& text, char sep) {
   return parts;
 }
 
+/// Parses all of `text` as a T; an empty value, trailing characters
+/// (`--shards 4x`) or an out-of-range value is an error naming the flag.
+template <typename T>
+T parse_number(const std::string& flag, const std::string& text) {
+  T value{};
+  const char* end = text.data() + text.size();
+  const auto [stop, error] = std::from_chars(text.data(), end, value);
+  if (text.empty() || error != std::errc() || stop != end) {
+    throw std::invalid_argument(flag + " expects a number, got '" + text +
+                                "'");
+  }
+  return value;
+}
+
 /// Parses one `--axis name=v1,v2,...` token list into a SweepAxis. Strategy
 /// axes accept strategy names as well as numeric enum values.
 exp::SweepAxis parse_axis(const std::string& text) {
@@ -110,7 +126,8 @@ exp::SweepAxis parse_axis(const std::string& text) {
       }
       if (matched) continue;
     }
-    axis.values.push_back(exp::AxisValue::of(std::stod(token)));
+    axis.values.push_back(exp::AxisValue::of(
+        parse_number<double>("--axis " + axis.name, token)));
   }
   if (axis.values.empty()) {
     throw std::invalid_argument("--axis '" + axis.name + "' has no values");
@@ -178,13 +195,15 @@ int cmd_run(const std::vector<std::string>& args, bool allow_overrides) {
       return 2;
     }
     if (arg == "--threads") {
-      threads = std::stoi(next());
+      threads = parse_number<int>(arg, next());
     } else if (arg == "--sink") {
       sink_name = next();
     } else if (arg == "--seeds") {
       spec.seeds.clear();
       for (const std::string& token : split(next(), ',')) {
-        if (!token.empty()) spec.seeds.push_back(std::stoull(token));
+        if (!token.empty()) {
+          spec.seeds.push_back(parse_number<std::uint64_t>(arg, token));
+        }
       }
       if (spec.seeds.empty()) usage(2);
     } else if (arg == "--axis") {
@@ -205,7 +224,7 @@ int cmd_run(const std::vector<std::string>& args, bool allow_overrides) {
     } else if (arg == "--engine") {
       spec.engine = exp::parse_queue_backend(next());
     } else if (arg == "--shards") {
-      spec.shards = std::stoi(next());
+      spec.shards = parse_number<int>(arg, next());
       if (spec.shards < 1) usage(2);
     } else if (arg == "--trace") {
       spec.trace_path = next();

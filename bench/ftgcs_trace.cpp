@@ -9,7 +9,9 @@
 // divergence (payload mismatch, early end, or a decode error — a corrupted
 // byte surfaces as divergence at the exact record it garbles, with its
 // file offset). Exit 2 = usage / unreadable file.
+#include <charconv>
 #include <cinttypes>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -32,6 +34,20 @@ using namespace ftgcs;
                "usage: ftgcs_trace <dump <file> [--limit N] | stats <file> | "
                "diff <a> <b>>\n");
   std::exit(code);
+}
+
+/// Parses all of `text` as a count; an empty value, a sign, trailing
+/// characters (`--limit 5x`) or an out-of-range value is an error naming
+/// the flag.
+std::uint64_t parse_count(const std::string& flag, const std::string& text) {
+  std::uint64_t value = 0;
+  const char* end = text.data() + text.size();
+  const auto [stop, error] = std::from_chars(text.data(), end, value);
+  if (text.empty() || error != std::errc() || stop != end) {
+    throw std::invalid_argument(flag + " expects a count, got '" + text +
+                                "'");
+  }
+  return value;
 }
 
 const char* kind_name(std::uint8_t kind) {
@@ -177,7 +193,7 @@ int main(int argc, char** argv) {
       std::uint64_t limit = 50;
       for (std::size_t i = 1; i < args.size(); ++i) {
         if (args[i] == "--limit" && i + 1 < args.size()) {
-          limit = std::stoull(args[++i]);
+          limit = parse_count("--limit", args[++i]);
         } else {
           usage(2);
         }

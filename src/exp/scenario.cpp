@@ -3,6 +3,7 @@
 #include <cmath>
 #include <cstdio>
 #include <stdexcept>
+#include <string>
 
 #include "support/assert.h"
 
@@ -93,10 +94,20 @@ void TopologySpec::set_clusters(int n) {
       // "clusters" axis row simulates exactly the labeled count (the
       // large-grid family's values 1000/5000/10000 give 25×40, 50×100,
       // 100×100). Prime n degenerates to 1×n — truthful, if elongated.
-      a = static_cast<int>(std::sqrt(static_cast<double>(n)));
-      while (a > 1 && n % a != 0) --a;
-      if (a < 1) a = 1;
-      b = n / a;
+      // A torus needs both sides >= 3 (e.g. 10 = 2×5 and prime 1009 = 1×1009
+      // cannot be one); w ≤ h, so checking w suffices.
+      int w = static_cast<int>(std::sqrt(static_cast<double>(n)));
+      while (w > 1 && n % w != 0) --w;
+      if (w < 1) w = 1;
+      if (kind == TopologyKind::kTorus && w < 3) {
+        throw std::invalid_argument(
+            "axis 'clusters' = " + std::to_string(n) +
+            " cannot be a torus: no w x h factorization has both sides >= 3"
+            " (closest is " + std::to_string(w) + "x" +
+            std::to_string(n / w) + ")");
+      }
+      a = w;
+      b = n / w;
       return;
     }
     default:

@@ -20,6 +20,7 @@ void Graph::add_edge(int u, int v) {
   adj_[u].push_back(v);
   adj_[v].push_back(u);
   ++edge_count_;
+  known_diameter_ = -1;
 }
 
 bool Graph::has_edge(int u, int v) const {
@@ -59,6 +60,7 @@ bool Graph::connected() const {
 }
 
 int Graph::diameter() const {
+  if (known_diameter_ >= 0) return known_diameter_;
   FTGCS_EXPECTS(connected());
   int diameter = 0;
   for (int v = 0; v < num_vertices(); ++v) {
@@ -91,6 +93,7 @@ Graph Graph::line(int n) {
   FTGCS_EXPECTS(n >= 1);
   Graph g(n);
   for (int i = 0; i + 1 < n; ++i) g.add_edge(i, i + 1);
+  g.known_diameter_ = n - 1;
   return g;
 }
 
@@ -98,6 +101,7 @@ Graph Graph::ring(int n) {
   FTGCS_EXPECTS(n >= 3);
   Graph g(n);
   for (int i = 0; i < n; ++i) g.add_edge(i, (i + 1) % n);
+  g.known_diameter_ = n / 2;
   return g;
 }
 
@@ -105,6 +109,7 @@ Graph Graph::star(int n) {
   FTGCS_EXPECTS(n >= 2);
   Graph g(n);
   for (int i = 1; i < n; ++i) g.add_edge(0, i);
+  g.known_diameter_ = n == 2 ? 1 : 2;
   return g;
 }
 
@@ -113,6 +118,7 @@ Graph Graph::clique(int n) {
   Graph g(n);
   for (int i = 0; i < n; ++i)
     for (int j = i + 1; j < n; ++j) g.add_edge(i, j);
+  g.known_diameter_ = n == 1 ? 0 : 1;
   return g;
 }
 
@@ -126,6 +132,7 @@ Graph Graph::grid(int width, int height) {
       if (y + 1 < height) g.add_edge(id(x, y), id(x, y + 1));
     }
   }
+  g.known_diameter_ = (width - 1) + (height - 1);
   return g;
 }
 
@@ -139,6 +146,7 @@ Graph Graph::torus(int width, int height) {
       g.add_edge(id(x, y), id(x, (y + 1) % height));
     }
   }
+  g.known_diameter_ = width / 2 + height / 2;
   return g;
 }
 
@@ -159,6 +167,7 @@ Graph Graph::balanced_tree(int branching, int depth) {
       if (child < g.num_vertices()) g.add_edge(v, static_cast<int>(child));
     }
   }
+  g.known_diameter_ = branching == 1 ? depth : 2 * depth;
   return g;
 }
 
@@ -172,6 +181,7 @@ Graph Graph::hypercube(int dim) {
       if (v < w) g.add_edge(v, w);
     }
   }
+  g.known_diameter_ = dim;
   return g;
 }
 

@@ -28,7 +28,10 @@ class Graph {
   bool connected() const;
 
   /// Hop diameter (max over all pairs of BFS distance). Requires a
-  /// connected graph.
+  /// connected graph. O(1) for a graph fresh from one of the deterministic
+  /// generators below, which record their closed-form diameter; otherwise
+  /// (gnp_connected, hand-built, or any add_edge after generation) an
+  /// all-pairs BFS, O(|V|·|E|).
   int diameter() const;
 
   /// BFS distances from `source`.
@@ -56,6 +59,7 @@ class Graph {
  private:
   std::vector<std::vector<int>> adj_;
   std::size_t edge_count_ = 0;
+  int known_diameter_ = -1;  ///< closed form set by a generator; -1 = unknown
 };
 
 }  // namespace ftgcs::net

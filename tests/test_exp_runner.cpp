@@ -7,6 +7,8 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <stdexcept>
+#include <string>
 
 namespace ftgcs::exp {
 namespace {
@@ -182,6 +184,22 @@ TEST(Scenario, AxisApplicationCoversDocumentedNames) {
   EXPECT_DOUBLE_EQ(spec.horizon.base_rounds, 42.0);
   EXPECT_THROW(apply_axis(spec, "no_such_axis", 1.0),
                std::invalid_argument);
+
+  // A torus needs both sides >= 3: 1009 (prime, 1×1009) and 10 (2×5) are
+  // typed errors, not a contract abort in Graph::torus.
+  spec.topology.kind = TopologyKind::kTorus;
+  apply_axis(spec, "clusters", 12);
+  EXPECT_EQ(spec.topology.a, 3);
+  EXPECT_EQ(spec.topology.b, 4);
+  EXPECT_THROW(apply_axis(spec, "clusters", 10), std::invalid_argument);
+  try {
+    apply_axis(spec, "clusters", 1009);
+    ADD_FAILURE() << "clusters=1009 on a torus must throw";
+  } catch (const std::invalid_argument& error) {
+    EXPECT_NE(std::string(error.what()).find("1009"), std::string::npos);
+  }
+  EXPECT_EQ(spec.topology.a, 3);  // a rejected value leaves the spec as is
+  EXPECT_EQ(spec.topology.b, 4);
 }
 
 TEST(Sinks, AllThreeRenderEveryRow) {

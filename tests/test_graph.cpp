@@ -2,8 +2,29 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+
 namespace ftgcs::net {
 namespace {
+
+/// Reference hop diameter: max BFS distance over every source, computed
+/// here rather than through Graph::diameter() so the generators' closed
+/// forms are checked against an independent oracle.
+int oracle_diameter(const Graph& g) {
+  int diameter = 0;
+  for (int v = 0; v < g.num_vertices(); ++v) {
+    for (int d : g.bfs_distances(v)) {
+      EXPECT_GE(d, 0) << "disconnected graph";
+      diameter = std::max(diameter, d);
+    }
+  }
+  return diameter;
+}
+
+void expect_oracle_diameter(const Graph& g, const std::string& label) {
+  EXPECT_EQ(g.diameter(), oracle_diameter(g)) << label;
+}
 
 TEST(Graph, LineBasics) {
   const Graph g = Graph::line(5);
@@ -106,6 +127,59 @@ TEST(Graph, AdjacencyIsSymmetric) {
   for (int v = 0; v < g.num_vertices(); ++v) {
     for (int w : g.neighbors(v)) {
       EXPECT_TRUE(g.has_edge(w, v));
+    }
+  }
+}
+
+TEST(Graph, GeneratorDiametersMatchBfsOracle) {
+  for (int n = 1; n <= 40; ++n) {
+    expect_oracle_diameter(Graph::line(n), "line " + std::to_string(n));
+    expect_oracle_diameter(Graph::clique(n), "clique " + std::to_string(n));
+    if (n >= 3) {
+      expect_oracle_diameter(Graph::ring(n), "ring " + std::to_string(n));
+    }
+    if (n >= 2) {
+      expect_oracle_diameter(Graph::star(n), "star " + std::to_string(n));
+    }
+  }
+  for (int w = 1; w <= 9; ++w) {
+    for (int h = 1; h <= 9; ++h) {
+      const std::string size = std::to_string(w) + "x" + std::to_string(h);
+      expect_oracle_diameter(Graph::grid(w, h), "grid " + size);
+      if (w >= 3 && h >= 3) {
+        expect_oracle_diameter(Graph::torus(w, h), "torus " + size);
+      }
+    }
+  }
+  for (int b = 1; b <= 4; ++b) {
+    for (int depth = 0; depth <= 5; ++depth) {
+      expect_oracle_diameter(
+          Graph::balanced_tree(b, depth),
+          "tree b=" + std::to_string(b) + " depth=" + std::to_string(depth));
+    }
+  }
+  for (int dim = 0; dim <= 9; ++dim) {
+    expect_oracle_diameter(Graph::hypercube(dim),
+                           "hypercube " + std::to_string(dim));
+  }
+}
+
+TEST(Graph, AddEdgeAfterGenerationFallsBackToBfs) {
+  Graph g = Graph::line(10);
+  ASSERT_EQ(g.diameter(), 9);
+  g.add_edge(0, 9);  // now a 10-ring
+  EXPECT_EQ(g.diameter(), 5);
+  expect_oracle_diameter(g, "line 10 + {0,9}");
+}
+
+TEST(Graph, GnpDiameterComesFromBfs) {
+  // G(n, p) has no closed form: across densities the diameter varies and
+  // must track the oracle exactly.
+  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+    for (double p : {0.08, 0.2, 0.5, 1.0}) {
+      expect_oracle_diameter(Graph::gnp_connected(30, p, seed),
+                             "gnp p=" + std::to_string(p) +
+                                 " seed=" + std::to_string(seed));
     }
   }
 }
