@@ -16,9 +16,6 @@
 //                       measurements; off by default so output stays
 //                       machine-independent) and a queue-tier footer
 //                       (buckets / rung spawns / overflow peak)
-//   --engine KIND       event-engine backend: heap | ladder (default:
-//                       ladder; tables are bit-identical either way, so
-//                       this is a pure A/B throughput toggle)
 //   --shards T          conservative-parallel backend: stripe each run's
 //                       cluster graph over T worker threads advancing in
 //                       lock-step safe windows (default 1 = single
@@ -27,14 +24,14 @@
 //                       `--timing` footer reports the cut geometry)
 //   --trace PATH        stream every fired pulse delivery to a binary .ftr
 //                       trace (multi-task sweeps write PATH.taskN). The
-//                       bytes are identical at every --shards/--engine
-//                       choice; inspect with `ftgcs_trace`
+//                       bytes are identical at every --shards choice;
+//                       inspect with `ftgcs_trace`
 //   --metrics PATH      write the deterministic per-probe metrics series
 //                       (JSONL: skew max/p99/p50, envelope margins,
 //                       violations) to PATH — byte-identical at every
-//                       --shards/--engine choice — plus the PATH.profile
-//                       sidecar (wall-clock shard phases + engine/shard-
-//                       dependent queue diag; NOT deterministic).
+//                       --shards choice — plus the PATH.profile sidecar
+//                       (wall-clock shard phases + shard-dependent queue
+//                       diag; NOT deterministic).
 //                       Multi-task sweeps write PATH.taskN; inspect with
 //                       `ftgcs_report`
 //   --no-monitors       disable the online invariant monitors (they are on
@@ -65,9 +62,8 @@ using namespace ftgcs;
                "usage: ftgcs_bench <list | run <scenario> | sweep "
                "<scenario>> [--threads N] [--sink table|csv|jsonl] "
                "[--seeds a,b,c] [--axis name=v1,v2]... [--worst] "
-               "[--per-seed] [--timing] [--engine heap|ladder] "
-               "[--shards T] [--trace PATH] [--metrics PATH] "
-               "[--no-monitors] [--quiet]\n");
+               "[--per-seed] [--timing] [--shards T] [--trace PATH] "
+               "[--metrics PATH] [--no-monitors] [--quiet]\n");
   std::exit(code);
 }
 
@@ -221,8 +217,6 @@ int cmd_run(const std::vector<std::string>& args, bool allow_overrides) {
       spec.aggregation = exp::SeedAggregation::kWorstOverSeeds;
     } else if (arg == "--per-seed") {
       spec.aggregation = exp::SeedAggregation::kPerSeed;
-    } else if (arg == "--engine") {
-      spec.engine = exp::parse_queue_backend(next());
     } else if (arg == "--shards") {
       spec.shards = parse_number<int>(arg, next());
       if (spec.shards < 1) usage(2);
@@ -275,11 +269,10 @@ int cmd_run(const std::vector<std::string>& args, bool allow_overrides) {
         // Ordering work per fired event: what the drain paid to restore
         // (time, seq) order (sorted) or to skip it (horizon-scanned).
         const double fired = result.total_events;
-        std::printf("queue[%s]: buckets=%.0f rung_spawns=%.0f "
+        std::printf("queue: buckets=%.0f rung_spawns=%.0f "
                     "overflow_peak=%.0f reseeds=%.0f rewindows=%.0f "
                     "sorts=%.0f sorted_entries=%.0f horizon_scanned=%.0f "
                     "sorted_per_event=%.2f scanned_per_event=%.2f\n",
-                    sim::queue_backend_name(spec.engine),
                     result.queue.max_bucket_count, result.queue.rung_spawns,
                     result.queue.max_overflow_peak, result.queue.reseeds,
                     result.queue.rewindows, result.queue.sorts,
@@ -287,9 +280,8 @@ int cmd_run(const std::vector<std::string>& args, bool allow_overrides) {
                     fired > 0.0 ? result.queue.sorted_entries / fired : 0.0,
                     fired > 0.0 ? result.queue.horizon_scanned / fired : 0.0);
       }
-      std::printf("runs[%s]: part_runs=%.0f part_events=%.0f "
+      std::printf("runs: part_runs=%.0f part_events=%.0f "
                   "run_events=%.0f\n",
-                  sim::queue_backend_name(spec.engine),
                   result.queue.unordered_runs, result.queue.unordered_events,
                   result.queue.ordered_run_events);
       {

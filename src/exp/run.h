@@ -16,6 +16,7 @@
 #include "core/params.h"
 #include "exp/scenario.h"
 #include "net/graph.h"
+#include "sim/backend.h"
 #include "trace/monitor.h"
 
 namespace ftgcs::exp {
@@ -26,6 +27,8 @@ struct ResolvedRun {
   core::Params params;
   net::Graph graph{1};
   ProtocolKind protocol = ProtocolKind::kFtGcs;
+  /// Unread; kept only because the benchmark harness assigns it (see
+  /// sim/backend.h).
   sim::QueueBackend engine = sim::QueueBackend::kLadder;
   /// Conservative-parallel shard count (1 = single simulator). The
   /// effective count can be lower — see par::make_shard_plan.
@@ -62,9 +65,9 @@ struct RunResult {
   std::vector<std::pair<std::string, double>> metrics;
 
   /// Event-queue tier diagnostics of the run's simulator. Deterministic,
-  /// but engine-dependent — kept out of `metrics` so every sink's output
-  /// stays bit-identical between `--engine heap` and `--engine ladder`;
-  /// the `--timing` footer aggregates them instead.
+  /// but shard-dependent — kept out of `metrics` so every sink's output
+  /// stays bit-identical across `--shards`; the `--timing` footer
+  /// aggregates them instead.
   struct QueueTiers {
     double bucket_count = 0.0;   ///< widest calendar window built
     double rung_spawns = 0.0;    ///< overflowing buckets split on drain

@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <cstdio>
+#include <limits>
 #include <stdexcept>
 #include <string>
 
@@ -168,25 +169,37 @@ std::size_t ScenarioSpec::num_points() const {
 }
 
 void apply_axis(ScenarioSpec& spec, const std::string& name, double value) {
-  const auto as_int = [&] { return static_cast<int>(std::llround(value)); };
+  // Integer axes take only finite integral values in [lo, hi]; the range
+  // test runs on the double, so no out-of-range value reaches a cast.
+  const auto as_int = [&](int lo, int hi = std::numeric_limits<int>::max()) {
+    if (!std::isfinite(value) || value != std::trunc(value) || value < lo ||
+        value > hi) {
+      char buf[128];
+      std::snprintf(buf, sizeof buf, "%g: expected an integer in [%d, %d]",
+                    value, lo, hi);
+      throw std::invalid_argument("sweep axis '" + name + "' = " + buf);
+    }
+    return static_cast<int>(value);
+  };
   if (name == "diameter") {
-    spec.topology.set_diameter(as_int());
+    spec.topology.set_diameter(as_int(1));
   } else if (name == "clusters") {
-    spec.topology.set_clusters(as_int());
+    spec.topology.set_clusters(as_int(1));
   } else if (name == "gap_rounds") {
     spec.ramp = {};
-    spec.ramp.gap_rounds = as_int();
+    spec.ramp.gap_rounds = as_int(0);
   } else if (name == "gap_kappa") {
     spec.ramp = {};
     spec.ramp.gap_kappa = value;
   } else if (name == "f") {
-    spec.params.f = as_int();
+    spec.params.f = as_int(0);
   } else if (name == "cluster_size") {
-    spec.params.cluster_size = as_int();
+    spec.params.cluster_size = as_int(0);  // 0 = derived 3f+1
   } else if (name == "faults_per_cluster") {
-    spec.faults.count = as_int();
+    spec.faults.count = as_int(0);
   } else if (name == "strategy") {
-    spec.faults.strategy = static_cast<byz::StrategyKind>(as_int());
+    spec.faults.strategy = static_cast<byz::StrategyKind>(
+        as_int(0, static_cast<int>(byz::StrategyKind::kDelayJitter)));
   } else if (name == "attacked") {
     spec.faults.enabled = value != 0.0;
   } else if (name == "rho") {
@@ -207,9 +220,10 @@ void apply_axis(ScenarioSpec& spec, const std::string& name, double value) {
   } else if (name == "probability") {
     spec.faults.probability = value;
   } else if (name == "shards") {
-    spec.shards = as_int();
+    spec.shards = as_int(1);
   } else if (name == "fault_mode") {
-    spec.faults.mode = static_cast<FaultMode>(as_int());
+    spec.faults.mode = static_cast<FaultMode>(
+        as_int(0, static_cast<int>(FaultMode::kIid)));
     // A scenario registered without faults carries no strategy strength;
     // the per-strategy default keeps the attack meaningful.
     if (spec.faults.param_abs == 0.0 && spec.faults.param_times_E == 0.0) {
@@ -248,13 +262,6 @@ const char* protocol_name(ProtocolKind kind) {
     case ProtocolKind::kGcsBaseline: return "gcs";
   }
   return "?";
-}
-
-sim::QueueBackend parse_queue_backend(const std::string& name) {
-  if (name == "heap") return sim::QueueBackend::kHeap;
-  if (name == "ladder") return sim::QueueBackend::kLadder;
-  throw std::invalid_argument("unknown engine '" + name +
-                              "' (expected heap | ladder)");
 }
 
 }  // namespace ftgcs::exp

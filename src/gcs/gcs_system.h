@@ -19,9 +19,6 @@ class GcsSystem final : public sim::EventSink {
   struct Config {
     GcsParams params;
     std::uint64_t seed = 1;
-    /// Event-scheduling front-end (see sim/backend.h); bit-identical
-    /// traces either way, ladder is O(1) at scale.
-    sim::QueueBackend engine = sim::QueueBackend::kLadder;
     std::unique_ptr<net::DelayModel> delay_model;   ///< null → Uniform
     std::unique_ptr<clocks::DriftModel> drift_model;///< null → spread const
     /// Byzantine pump nodes: each advertises L−offset(t) to lower-id

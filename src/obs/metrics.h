@@ -13,11 +13,11 @@
 //     storage (the ScopedAllocGuard pin in tests/test_obs_metrics.cpp).
 //
 // Only run-invariant quantities may be registered here: anything that
-// depends on the queue backend or the shard count (narrow/wide event
-// mix, mailbox depths, cut traffic) belongs to the nondeterministic
+// depends on the queue's internal tiers or the shard count (narrow/wide
+// event mix, mailbox depths, cut traffic) belongs to the nondeterministic
 // sidecar written by PhaseProfiler, never to this registry — the
 // deterministic series is CI-compared byte-for-byte across
-// `--engine {heap,ladder}` × `--shards {1,2,4}`.
+// `--shards {1,2,4}`.
 #pragma once
 
 #include <cstdint>

@@ -4,10 +4,10 @@
 //
 //   * "diag" rows — per-probe queue-tier occupancy/byte mix (TierStats)
 //     and per-shard mailbox depth / cut-edge traffic. These are
-//     deterministic for a fixed configuration but DEPEND on the engine
-//     and the shard count (narrow vs wide mix differs heap-vs-ladder,
-//     mailbox depth differs by T), so they can never live in the file
-//     that is byte-compared across engines × shards.
+//     deterministic for a fixed configuration but DEPEND on the shard
+//     count (each shard's queue sees its own narrow/wide mix, mailbox
+//     depth differs by T), so they can never live in the file that is
+//     byte-compared across shard counts.
 //   * "phase"/"span"/"summary" rows — wall-clock timing: per-shard
 //     accumulated merge ∥ run ∥ collect(wait) phase totals around the
 //     three-barrier windows of par::ShardedFtGcsSystem, top-level

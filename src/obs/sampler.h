@@ -7,10 +7,11 @@
 // sweep over the columnar snapshot, updates gauges/counters from the
 // ground-truth skew sample and the invariant monitor, and appends one
 // JSON row. Everything serialized here is a pure function of (scenario,
-// seed, probe time) — NEVER of the queue backend or the shard count —
-// so the file is bit-identical across `--engine {heap,ladder}` ×
-// `--shards {1,2,4,8}`; backend-dependent diagnostics go to the
-// PhaseProfiler sidecar instead.
+// seed, probe time) — NEVER of the queue's internal tiers or the shard
+// count — so the file is bit-identical across `--shards {1,2,4,8}` (and
+// to the series the deleted heap engine wrote, pinned in
+// tests/test_obs_metrics.cpp); tier- and shard-dependent diagnostics go
+// to the PhaseProfiler sidecar instead.
 //
 // Determinism of the sweep itself: nodes and edges are visited in node-id
 // order (each undirected edge once, from its lower endpoint), so the

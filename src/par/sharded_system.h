@@ -67,6 +67,8 @@ class ShardedFtGcsSystem {
   struct Config {
     core::Params params;
     std::uint64_t seed = 1;
+    /// Unread; kept only because the benchmark harness assigns it (see
+    /// sim/backend.h).
     sim::QueueBackend engine = sim::QueueBackend::kLadder;
     bool enable_global_module = true;
     bool replicas_know_offsets = true;

@@ -10,11 +10,17 @@
 
 #include "harness.h"
 #include "metrics/trace.h"
+#include "pins.h"
 
 namespace ftgcs::core {
 namespace {
 
 using testing::ClusterHarness;
+
+/// Fingerprint of the harness run in HarnessScheduleMatchesHeapEnginePin,
+/// recorded when the harness's Simulator still defaulted to the heap
+/// engine (see tests/pins.h).
+constexpr std::uint64_t kHarnessHeapPin = 0x59356f92a8e0b613ull;
 
 Params test_params(int f = 1) {
   return Params::practical(1e-3, 1.0, 0.01, f);
@@ -295,6 +301,37 @@ TEST(ClusterSync, CorrectionClampViolationAccounting) {
   // δ_v still within the Lemma B.4 envelope thanks to the clamp.
   EXPECT_GE(engine.clock().delta(), 0.0);
   EXPECT_LE(engine.clock().delta(), 2.0 / (1.0 - params.phi));
+}
+
+// Every test above runs on the harness's Simulator, whose queue used to
+// default to the ordered heap engine. This pin holds the one queue to the
+// schedule that engine executed: a cluster with a passive observer, drift
+// spread over the envelope, ten rounds — event counts, every clock, and
+// the pulse bookkeeping.
+TEST(ClusterSync, HarnessScheduleMatchesHeapEnginePin) {
+  const Params params = test_params();
+  ClusterHarness::Options options;
+  options.observers = 1;
+  options.seed = 9;
+  ClusterHarness harness(params, std::move(options));
+  for (int i = 0; i < harness.k(); ++i) {
+    harness.engine(i).set_hardware_rate(0.0, 1.0 + params.rho * i / 4.0);
+  }
+  harness.start();
+  harness.run_rounds(10.5);
+  const sim::Time now = harness.sim().now();
+  std::string state = std::to_string(harness.sim().fired_events()) + " " +
+                      std::to_string(harness.sim().scheduled_events()) + "\n";
+  const auto add = [&](ClusterSyncEngine& engine) {
+    state += std::to_string(engine.round()) + " " +
+             pins::exact(engine.clock().read(now)) + " " +
+             std::to_string(engine.dropped_pulses()) + " " +
+             std::to_string(engine.duplicate_pulses()) + " " +
+             std::to_string(engine.violations()) + "\n";
+  };
+  for (int i = 0; i < harness.k(); ++i) add(harness.engine(i));
+  add(harness.observer(0));
+  EXPECT_EQ(pins::fnv1a(state), kHarnessHeapPin) << state;
 }
 
 }  // namespace

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -200,6 +201,50 @@ TEST(Scenario, AxisApplicationCoversDocumentedNames) {
   }
   EXPECT_EQ(spec.topology.a, 3);  // a rejected value leaves the spec as is
   EXPECT_EQ(spec.topology.b, 4);
+
+  // Integer axes reject non-finite, fractional, out-of-int and
+  // out-of-range values with a typed error naming the axis and the value
+  // (these used to abort in an enum switch, overflow std::llround, or run
+  // silently with a meaningless count).
+  const auto expect_rejected = [&spec](const std::string& axis, double value,
+                                       const std::string& shown) {
+    try {
+      apply_axis(spec, axis, value);
+      ADD_FAILURE() << axis << "=" << shown << " must throw";
+    } catch (const std::invalid_argument& error) {
+      const std::string what = error.what();
+      EXPECT_NE(what.find(axis), std::string::npos) << what;
+      EXPECT_NE(what.find(shown), std::string::npos) << what;
+    }
+  };
+  EXPECT_THROW(apply_axis(spec, "fault_mode", 9), std::invalid_argument);
+  expect_rejected("fault_mode", 9, "9");
+  expect_rejected("fault_mode", -1, "-1");
+  expect_rejected("strategy", 99, "99");
+  expect_rejected("strategy", -1, "-1");
+  expect_rejected("f", -1, "-1");
+  expect_rejected("diameter", 0, "0");
+  expect_rejected("diameter", 1e99, "1e+99");
+  expect_rejected("diameter", 2.5, "2.5");
+  expect_rejected("diameter", std::numeric_limits<double>::infinity(), "inf");
+  expect_rejected("diameter", std::numeric_limits<double>::quiet_NaN(),
+                  "nan");
+  expect_rejected("clusters", 3e9, "3e+09");
+  expect_rejected("shards", -2, "-2");
+  expect_rejected("shards", 0, "0");
+  expect_rejected("faults_per_cluster", -3, "-3");
+  // The boundaries themselves are accepted.
+  apply_axis(spec, "fault_mode", static_cast<double>(FaultMode::kIid));
+  EXPECT_EQ(spec.faults.mode, FaultMode::kIid);
+  apply_axis(spec, "strategy",
+             static_cast<double>(byz::StrategyKind::kDelayJitter));
+  EXPECT_EQ(spec.faults.strategy, byz::StrategyKind::kDelayJitter);
+  apply_axis(spec, "shards", 1);
+  EXPECT_EQ(spec.shards, 1);
+  apply_axis(spec, "f", 0);
+  EXPECT_EQ(spec.params.f, 0);
+  apply_axis(spec, "faults_per_cluster", 0);
+  EXPECT_EQ(spec.faults.count, 0);
 }
 
 TEST(Sinks, AllThreeRenderEveryRow) {

@@ -1,6 +1,7 @@
 // Columnar node table + batched dispatch path: crash-stop semantics, the
 // table-backed snapshot, and invariance of the execution under different
-// drain batchings (run_until boundaries, heap vs ladder).
+// drain batchings (run_until boundaries), pinned to the schedule the
+// deleted heap engine executed.
 #include "core/node_table.h"
 
 #include <gtest/gtest.h>
@@ -8,15 +9,21 @@
 #include <algorithm>
 #include <array>
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "core/ftgcs_system.h"
 #include "metrics/skew_tracker.h"
 #include "net/graph.h"
+#include "pins.h"
 #include "sim/rng.h"
 
 namespace ftgcs::core {
 namespace {
+
+/// Fingerprint of the heap engine's end state in
+/// ExecutionInvariantUnderDrainBatching (see tests/pins.h).
+constexpr std::uint64_t kLine3HeapPin = 0x11099762938b7539ull;
 
 Params practical() { return Params::practical(1e-3, 1.0, 0.01, 1); }
 
@@ -145,15 +152,16 @@ TEST(NodeTable, ColumnarSnapshotMatchesPerNodeState) {
 TEST(NodeTable, ExecutionInvariantUnderDrainBatching) {
   // The batch drain must be unobservable: running to one horizon in a
   // single run_until (long pure-receive runs) and in many tiny increments
-  // (every boundary breaks a run) must execute the identical schedule, on
-  // both engine backends.
+  // (every boundary breaks a run) must execute the identical schedule —
+  // the one the ordered heap engine executed (kLine3HeapPin, recorded
+  // from that engine at the last commit that had it; the heap drained
+  // every event in exact order, whole or sliced).
   const Params params = practical();
   const double horizon = 12.0 * params.T;
-  const auto run = [&](sim::QueueBackend backend, int increments) {
+  const auto run = [&](int increments) {
     FtGcsSystem::Config config;
     config.params = params;
     config.seed = 24;
-    config.engine = backend;
     FtGcsSystem system(net::Graph::line(3), std::move(config));
     system.start();
     for (int i = 1; i <= increments; ++i) {
@@ -170,18 +178,16 @@ TEST(NodeTable, ExecutionInvariantUnderDrainBatching) {
     return Result{system.simulator().fired_events(), columns.logical,
                   columns.gamma};
   };
-  const auto whole = run(sim::QueueBackend::kLadder, 1);
-  const auto sliced = run(sim::QueueBackend::kLadder, 997);
-  const auto heap_whole = run(sim::QueueBackend::kHeap, 1);
-  const auto heap_sliced = run(sim::QueueBackend::kHeap, 997);
+  const auto whole = run(1);
+  const auto sliced = run(997);
   EXPECT_EQ(whole.events, sliced.events);
   EXPECT_EQ(whole.logical, sliced.logical);
   EXPECT_EQ(whole.gamma, sliced.gamma);
-  EXPECT_EQ(whole.events, heap_whole.events);
-  EXPECT_EQ(whole.logical, heap_whole.logical);
-  EXPECT_EQ(whole.gamma, heap_whole.gamma);
-  EXPECT_EQ(heap_whole.events, heap_sliced.events);
-  EXPECT_EQ(heap_whole.logical, heap_sliced.logical);
+  std::string state = std::to_string(whole.events) + "\n";
+  for (double logical : whole.logical) state += pins::exact(logical) + " ";
+  state += "\n";
+  for (std::int32_t gamma : whole.gamma) state += std::to_string(gamma) + " ";
+  EXPECT_EQ(pins::fnv1a(state), kLine3HeapPin) << state;
 }
 
 // The partitioned drain's proof obligation, pinned: committing one

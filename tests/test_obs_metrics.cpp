@@ -1,6 +1,7 @@
 // Metrics-plane pins: histogram bucket geometry, percentile semantics,
 // the zero-allocation sampling contract, a byte-exact golden series, and
-// engine/shard invariance of the deterministic JSONL plane.
+// shard invariance of the deterministic JSONL plane (plus its equality
+// with the deleted heap engine's series, see tests/pins.h).
 //
 // The golden FNV constant pins the series format (field order, %.17g
 // rendering, header shape) AND the simulated trajectory it serializes.
@@ -10,7 +11,6 @@
 
 #include <cstdint>
 #include <cstdio>
-#include <fstream>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -21,6 +21,7 @@
 #include "obs/phase_profiler.h"
 #include "obs/report.h"
 #include "obs/sampler.h"
+#include "pins.h"
 #include "support/alloc_guard.h"
 
 namespace ftgcs {
@@ -34,21 +35,14 @@ std::string temp_path(const std::string& name) {
   return testing::TempDir() + "/" + name;
 }
 
-std::string read_file(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  EXPECT_TRUE(in.good()) << path;
-  return std::string(std::istreambuf_iterator<char>(in),
-                     std::istreambuf_iterator<char>());
-}
+using pins::fnv1a;
+using pins::read_file;
 
-std::uint64_t fnv1a(const std::string& bytes) {
-  std::uint64_t hash = 1469598103934665603ull;
-  for (unsigned char byte : bytes) {
-    hash ^= byte;
-    hash *= 1099511628211ull;
-  }
-  return hash;
-}
+// The monitored large_torus series (clusters=64, seed 1) the heap engine
+// wrote — byte-identical at every shard count — recorded at the last
+// commit that had that engine.
+constexpr std::uint64_t kTorusSeriesHeapPin = 0x8cee45742645fa1aull;
+constexpr std::size_t kTorusSeriesHeapBytes = 2194;
 
 // ---- histogram geometry ----------------------------------------------------
 
@@ -244,18 +238,17 @@ TEST(MetricsSeries, MetricsPathOnAFullDiskFailsTheRun) {
   EXPECT_NE(message.find("/dev/full"), std::string::npos) << message;
 }
 
-// ---- golden series + engine/shard invariance -------------------------------
+// ---- golden series + shard invariance + heap-engine pin --------------------
 
 /// Runs a registered scenario at clusters=64 with the metrics series on
 /// and returns the series file's bytes.
 std::string run_series(const std::string& scenario, int shards,
-                       sim::QueueBackend engine, const std::string& path) {
+                       const std::string& path) {
   exp::register_builtin_scenarios();
   ScenarioSpec spec = *exp::Registry::instance().find(scenario);
   spec.axes = {{"clusters", {AxisValue::of(64)}}};
   apply_axis(spec, "clusters", 64.0);
   spec.shards = shards;
-  spec.engine = engine;
   spec.metrics_path = path;
   const exp::RunResult result = run_point(spec, 1);
   EXPECT_TRUE(result.series.enabled);
@@ -268,7 +261,7 @@ std::string run_series(const std::string& scenario, int shards,
 TEST(MetricsSeries, GoldenFilePin) {
   const std::string path = temp_path("golden_metrics.jsonl");
   const std::string bytes =
-      run_series("large_ring", 1, sim::QueueBackend::kLadder, path);
+      run_series("large_ring", 1, path);
   EXPECT_EQ(fnv1a(bytes), 0x5073449365e29148ull);
   EXPECT_EQ(bytes.size(), 2191u);
 
@@ -287,29 +280,24 @@ TEST(MetricsSeries, GoldenFilePin) {
 
 // The plane-separation pin: the monitored large_torus series (the
 // heaviest registered workload, the acceptance target) must be
-// byte-identical across --engine {heap,ladder} × --shards {1,2,4}. The
-// profiler sidecar absorbs everything backend-dependent; if a
-// backend-sensitive quantity ever leaks into the series, this fails at
-// the first divergent probe.
-TEST(MetricsSeries, TorusSeriesIdenticalAcrossEnginesAndShards) {
-  const std::string base = run_series("large_torus", 1,
-                                      sim::QueueBackend::kLadder,
-                                      temp_path("ms_l1.jsonl"));
-  EXPECT_EQ(base, run_series("large_torus", 2, sim::QueueBackend::kLadder,
-                             temp_path("ms_l2.jsonl")));
-  EXPECT_EQ(base, run_series("large_torus", 4, sim::QueueBackend::kLadder,
-                             temp_path("ms_l4.jsonl")));
-  EXPECT_EQ(base, run_series("large_torus", 1, sim::QueueBackend::kHeap,
-                             temp_path("ms_h1.jsonl")));
-  EXPECT_EQ(base, run_series("large_torus", 2, sim::QueueBackend::kHeap,
-                             temp_path("ms_h2.jsonl")));
+// byte-identical across --shards {1,2,4} and equal to the series the heap
+// engine wrote. The profiler sidecar absorbs everything tier- or
+// shard-dependent; if such a quantity ever leaks into the series, this
+// fails at the first divergent probe.
+TEST(MetricsSeries, TorusSeriesIdenticalAcrossShardsAndHeapPin) {
+  const std::string base =
+      run_series("large_torus", 1, temp_path("ms_s1.jsonl"));
+  EXPECT_EQ(base, run_series("large_torus", 2, temp_path("ms_s2.jsonl")));
+  EXPECT_EQ(base, run_series("large_torus", 4, temp_path("ms_s4.jsonl")));
+  EXPECT_EQ(fnv1a(base), kTorusSeriesHeapPin);
+  EXPECT_EQ(base.size(), kTorusSeriesHeapBytes);
 
   // ftgcs_report's differ must agree that the trajectories are equal.
   obs::SeriesData a;
   obs::SeriesData b;
   std::string error;
-  ASSERT_TRUE(obs::load_series(temp_path("ms_l1.jsonl"), &a, &error)) << error;
-  ASSERT_TRUE(obs::load_series(temp_path("ms_h2.jsonl"), &b, &error)) << error;
+  ASSERT_TRUE(obs::load_series(temp_path("ms_s1.jsonl"), &a, &error)) << error;
+  ASSERT_TRUE(obs::load_series(temp_path("ms_s4.jsonl"), &b, &error)) << error;
   std::ostringstream table;
   EXPECT_EQ(obs::render_diff(a, b, table), 0);
 }

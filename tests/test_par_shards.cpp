@@ -8,9 +8,11 @@
 // counts, same generators and traffic shape), for a fault-heavy E9
 // variant whose Byzantine senders sit in every cluster (so their pulses
 // cross every shard boundary), and for crash-stop faults injected on both
-// sides of a cut — on both queue backends.
+// sides of a cut. The single-shard runs are also pinned to the metric
+// vectors the deleted heap engine produced (tests/pins.h).
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <vector>
 
 #include "byz/fault_plan.h"
@@ -20,9 +22,15 @@
 #include "net/channel.h"
 #include "par/partition.h"
 #include "par/sharded_system.h"
+#include "pins.h"
 
 namespace ftgcs {
 namespace {
+
+// Metric-vector fingerprints of the heap engine's runs (ring at 2 shards,
+// torus at 4 shards), recorded at the last commit that had it.
+constexpr std::uint64_t kRing200HeapPin = 0x25479efeddf277d4ull;
+constexpr std::uint64_t kTorus256HeapPin = 0x1ac481d5cafd4e61ull;
 
 using exp::AxisValue;
 using exp::RunResult;
@@ -38,11 +46,9 @@ void expect_same_metrics(const RunResult& base, const RunResult& other,
   }
 }
 
-/// Runs `spec` at the given shard count and engine.
-RunResult run_with(ScenarioSpec spec, int shards, sim::QueueBackend engine,
-                   std::uint64_t seed) {
+/// Runs `spec` at the given shard count.
+RunResult run_with(ScenarioSpec spec, int shards, std::uint64_t seed) {
   spec.shards = shards;
-  spec.engine = engine;
   return run_point(spec, seed);
 }
 
@@ -84,32 +90,30 @@ TEST(ParShards, LargeRingBitIdenticalAtEveryShardCount) {
   spec.axes = {{"clusters", {AxisValue::of(200)}}};
   apply_axis(spec, "clusters", 200.0);
 
-  const RunResult base = run_with(spec, 1, sim::QueueBackend::kLadder, 1);
+  const RunResult base = run_with(spec, 1, 1);
   for (int shards : {2, 4, 8}) {
-    expect_same_metrics(
-        base, run_with(spec, shards, sim::QueueBackend::kLadder, 1),
-        "ring ladder shards=" + std::to_string(shards));
+    expect_same_metrics(base, run_with(spec, shards, 1),
+                        "ring shards=" + std::to_string(shards));
   }
-  // Heap backend: sharded-vs-single AND cross-engine in one comparison
-  // (the heap single run equals the ladder single run by the engine pins).
-  expect_same_metrics(base, run_with(spec, 2, sim::QueueBackend::kHeap, 1),
-                      "ring heap shards=2");
+  // The heap engine's 2-shard run of the same spec.
+  EXPECT_EQ(pins::fnv1a(pins::metrics_text(base)), kRing200HeapPin)
+      << pins::metrics_text(base);
 }
 
-TEST(ParShards, LargeTorusBitIdenticalAcrossShardsAndEngines) {
+TEST(ParShards, LargeTorusBitIdenticalAcrossShardsAndHeapPin) {
   exp::register_builtin_scenarios();
   ScenarioSpec spec = *exp::Registry::instance().find("large_torus");
   spec.axes = {{"clusters", {AxisValue::of(256)}}};
   apply_axis(spec, "clusters", 256.0);
 
-  const RunResult base = run_with(spec, 1, sim::QueueBackend::kLadder, 1);
+  const RunResult base = run_with(spec, 1, 1);
   for (int shards : {2, 4}) {
-    expect_same_metrics(
-        base, run_with(spec, shards, sim::QueueBackend::kLadder, 1),
-        "torus ladder shards=" + std::to_string(shards));
+    expect_same_metrics(base, run_with(spec, shards, 1),
+                        "torus shards=" + std::to_string(shards));
   }
-  expect_same_metrics(base, run_with(spec, 4, sim::QueueBackend::kHeap, 1),
-                      "torus heap shards=4");
+  // The heap engine's 4-shard run of the same spec.
+  EXPECT_EQ(pins::fnv1a(pins::metrics_text(base)), kTorus256HeapPin)
+      << pins::metrics_text(base);
 }
 
 // Fault-heavy E9 variant: every cluster carries active Byzantine members

@@ -1,6 +1,7 @@
-// Randomized differential test: the heap and ladder backends must pop the
-// exact same (time, seq, payload) sequence under any interleaving of
-// schedule / cancel / reschedule / pop.
+// Randomized differential test: the ladder queue must pop the exact same
+// (time, payload) sequence as the ordered oracle (tests/queue_oracle.h)
+// under any interleaving of schedule / cancel / reschedule / pop, and
+// consume sequence numbers exactly as the oracle does.
 //
 // One RNG decides an op stream that is executed against both queues in
 // lockstep. The time distribution is deliberately nasty for a calendar
@@ -17,47 +18,59 @@
 #include <deque>
 #include <vector>
 
+#include "queue_oracle.h"
 #include "sim/rng.h"
 
 namespace ftgcs::sim {
 namespace {
 
+using testing::QueueOracle;
+
 struct Pair {
-  EventId heap_id;
+  QueueOracle::Id oracle_id;
   EventId ladder_id;
 };
 
 class Differ {
  public:
-  Differ() : heap_(QueueBackend::kHeap), ladder_(QueueBackend::kLadder) {}
-
   void schedule(Time t, std::int32_t tag) {
     EventPayload payload;
     payload.a = tag;
     payload.x = t;
     Pair pair;
-    pair.heap_id = heap_.schedule_typed(t, EventKind::kTimer, 0, payload);
+    pair.oracle_id = oracle_.schedule_typed(t, EventKind::kTimer, 0, payload);
     pair.ladder_id = ladder_.schedule_typed(t, EventKind::kTimer, 0, payload);
     live_.push_back(pair);
     check_sizes();
   }
 
-  /// Fire-only events (inline payload on the ladder backend) interleave
-  /// with cancellable ones in the same (time, seq) order space.
+  /// Fire-only events interleave with cancellable ones in the same
+  /// (time, seq) order space. `x = t` makes the queue store them in a slot
+  /// (an inline entry has no room for x); schedule_inline takes the inline
+  /// 32-byte entry path instead.
   void schedule_fire_only(Time t, std::int32_t tag) {
     EventPayload payload;
     payload.a = tag;
     payload.x = t;
-    heap_.schedule_fire_only(t, EventKind::kPulse, 0, payload);
+    oracle_.schedule_fire_only(t, EventKind::kPulse, 0, payload);
     ladder_.schedule_fire_only(t, EventKind::kPulse, 0, payload);
     check_sizes();
   }
 
-  /// Coalesced fan-out group: narrow 16 B entries on the ladder backend,
-  /// a per-delivery fallback loop on the heap — both must consume the
-  /// same seq range and pop the same (time, payload) sequence. The dest
-  /// arrays live in a deque so the pointers the ladder borrows stay
-  /// stable for the queue's whole lifetime.
+  void schedule_inline(Time t, std::int32_t tag) {
+    EventPayload payload;
+    payload.a = tag;
+    payload.b = ~tag;
+    oracle_.schedule_fire_only(t, EventKind::kPulse, 0, payload);
+    ladder_.schedule_fire_only(t, EventKind::kPulse, 0, payload);
+    check_sizes();
+  }
+
+  /// Coalesced fan-out group: narrow 16 B entries in the ladder, one
+  /// event per delivery in the oracle — both must consume the same seq
+  /// range and pop the same (time, payload) sequence. The dest arrays
+  /// live in a deque so the pointers the ladder borrows stay stable for
+  /// the queue's whole lifetime.
   void schedule_group(Time base, const std::vector<Duration>& delays,
                       std::int32_t tag) {
     EventPayload proto;
@@ -69,9 +82,9 @@ class Differ {
     for (std::size_t i = 1; i < delays.size(); ++i) {
       rest.push_back(tag + static_cast<std::int32_t>(i));
     }
-    heap_.schedule_fire_only_group(base, delays.data(), delays.size(),
-                                   EventKind::kPulse, 0, proto, tag,
-                                   rest.data());
+    oracle_.schedule_fire_only_group(base, delays.data(), delays.size(),
+                                     EventKind::kPulse, 0, proto, tag,
+                                     rest.data());
     ladder_.schedule_fire_only_group(base, delays.data(), delays.size(),
                                      EventKind::kPulse, 0, proto, tag,
                                      rest.data());
@@ -80,7 +93,7 @@ class Differ {
 
   void cancel(std::size_t index) {
     const Pair pair = take(index);
-    const bool a = heap_.cancel(pair.heap_id);
+    const bool a = oracle_.cancel(pair.oracle_id);
     const bool b = ladder_.cancel(pair.ladder_id);
     ASSERT_EQ(a, b);
     check_sizes();
@@ -88,7 +101,7 @@ class Differ {
 
   void reschedule(std::size_t index, Time t) {
     const Pair& pair = live_[index];
-    const bool a = heap_.reschedule(pair.heap_id, t);
+    const bool a = oracle_.reschedule(pair.oracle_id, t);
     const bool b = ladder_.reschedule(pair.ladder_id, t);
     ASSERT_EQ(a, b);
     check_sizes();
@@ -97,20 +110,22 @@ class Differ {
   /// Pops one event from both queues and asserts identical observations.
   /// Returns the popped time so the driver can track "now".
   Time pop() {
-    EXPECT_FALSE(heap_.empty());
+    EXPECT_FALSE(oracle_.empty());
     EXPECT_FALSE(ladder_.empty());
-    const auto a = heap_.pop();
+    const auto a = oracle_.pop();
     const auto b = ladder_.pop();
     EXPECT_EQ(a.at, b.at);
     EXPECT_EQ(a.kind, b.kind);
+    EXPECT_EQ(a.sink, b.sink);
     EXPECT_EQ(a.payload.a, b.payload.a);
     EXPECT_EQ(a.payload.b, b.payload.b);
-    EXPECT_EQ(a.payload.c, b.payload.c);  // narrow group decode vs fallback
+    EXPECT_EQ(a.payload.c, b.payload.c);  // narrow group decode
     EXPECT_EQ(a.payload.d, b.payload.d);
     EXPECT_EQ(a.payload.x, b.payload.x);
     // The popped event's ids become stale in both queues; drop the pair.
     for (std::size_t i = 0; i < live_.size(); ++i) {
-      if (live_[i].heap_id == a.id) {
+      if (a.id != 0 && live_[i].oracle_id == a.id) {
+        EXPECT_EQ(live_[i].ladder_id, b.id);
         live_[i] = live_.back();
         live_.pop_back();
         break;
@@ -120,10 +135,12 @@ class Differ {
     return a.at;
   }
 
-  void check_next_time() { EXPECT_EQ(heap_.next_time(), ladder_.next_time()); }
+  void check_next_time() {
+    EXPECT_EQ(oracle_.next_time(), ladder_.next_time());
+  }
 
   std::size_t live_count() const { return live_.size(); }
-  bool empty() const { return heap_.empty(); }
+  bool empty() const { return oracle_.empty(); }
   const EventQueue& ladder() const { return ladder_; }
 
  private:
@@ -135,11 +152,12 @@ class Differ {
   }
 
   void check_sizes() {
-    ASSERT_EQ(heap_.size(), ladder_.size());
-    ASSERT_EQ(heap_.empty(), ladder_.empty());
+    ASSERT_EQ(oracle_.size(), ladder_.size());
+    ASSERT_EQ(oracle_.empty(), ladder_.empty());
+    ASSERT_EQ(oracle_.scheduled_count(), ladder_.scheduled_count());
   }
 
-  EventQueue heap_;
+  QueueOracle oracle_;
   EventQueue ladder_;
   std::vector<Pair> live_;
   /// Group dest arrays; deque keeps the borrowed pointers stable.
@@ -246,6 +264,34 @@ TEST(QueueDifferential, RandomOpStreamPopsIdentically) {
   EXPECT_GT(stats.group_inserts, 0u);
   EXPECT_GT(stats.narrow_events, 0u);
   EXPECT_GT(stats.wide_events, 0u);
+}
+
+TEST(QueueDifferential, EqualTimeNarrowAndWideEntriesMergeBySeq) {
+  // Exact ties ACROSS the two bucket lanes: fan-out deliveries (narrow
+  // lane) and slotted and inline entries (wide lane) land on the very
+  // same instants, so the pop-time lane merge must break every tie by
+  // sequence number. All times sit on a 0.25 grid, where the sums stay
+  // exact.
+  Rng rng(17);
+  Differ d;
+  Time now = 0.0;
+  for (int step = 0; step < 4000; ++step) {
+    const Time at = now + 0.25 * static_cast<double>(1 + rng.below(4));
+    const double pick = rng.next_double();
+    if (pick < 0.25) {
+      d.schedule(at, step);
+    } else if (pick < 0.4) {
+      d.schedule_fire_only(at, step);
+    } else if (pick < 0.55) {
+      d.schedule_inline(at, step);
+    } else {
+      const std::vector<Duration> delays(1 + rng.below(6), at - now);
+      d.schedule_group(now, delays, step * 10);
+    }
+    if (step % 3 == 2) now = d.pop();
+  }
+  while (!d.empty()) now = d.pop();
+  EXPECT_GT(d.ladder().tier_stats().narrow_events, 0u);
 }
 
 TEST(QueueDifferential, MonotoneSimulationShapedStream) {

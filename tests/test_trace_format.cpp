@@ -1,5 +1,6 @@
 // Trace format pins: round-trip fidelity, exact replay offsets, a
-// byte-exact golden file, partition/engine invariance of captured runs,
+// byte-exact golden file, partition invariance of captured runs (and
+// equality with the deleted heap engine's bytes, see tests/pins.h),
 // and first-divergence localization under single-bit corruption.
 //
 // The golden constants pin the on-disk format itself (magic, frame
@@ -14,6 +15,7 @@
 #include <vector>
 
 #include "exp/exp.h"
+#include "pins.h"
 #include "trace/diff.h"
 #include "trace/format.h"
 #include "trace/reader.h"
@@ -24,25 +26,17 @@ namespace {
 
 using exp::AxisValue;
 using exp::ScenarioSpec;
+using pins::fnv1a;
+using pins::read_file;
+
+// Trace-byte fingerprints of the heap engine's captured runs, recorded at
+// the last commit that had it: large_ring and large_torus at clusters=64,
+// seed 1 (the heap's bytes were identical at every shard count).
+constexpr std::uint64_t kRing64HeapTracePin = 0xc07e048ad350d593ull;
+constexpr std::uint64_t kTorus64HeapTracePin = 0x72a526d28439c0beull;
 
 std::string temp_path(const std::string& name) {
   return testing::TempDir() + "/" + name;
-}
-
-std::string read_file(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  EXPECT_TRUE(in.good()) << path;
-  return std::string(std::istreambuf_iterator<char>(in),
-                     std::istreambuf_iterator<char>());
-}
-
-std::uint64_t fnv1a(const std::string& bytes) {
-  std::uint64_t hash = 1469598103934665603ull;
-  for (unsigned char byte : bytes) {
-    hash ^= byte;
-    hash *= 1099511628211ull;
-  }
-  return hash;
 }
 
 /// Deterministic synthetic stream exercising every record kind, varint
@@ -131,17 +125,15 @@ TEST(TraceFormat, GoldenFilePin) {
   EXPECT_EQ(reader.records_read(), 10000u);
 }
 
-TEST(TraceFormat, CapturedRunBytesIdenticalAcrossShardsAndEngines) {
+TEST(TraceFormat, CapturedRunBytesIdenticalAcrossShardsAndHeapPin) {
   exp::register_builtin_scenarios();
   ScenarioSpec spec = *exp::Registry::instance().find("large_ring");
   spec.axes = {{"clusters", {AxisValue::of(64)}}};
   apply_axis(spec, "clusters", 64.0);
 
-  const auto run_with = [&](int shards, sim::QueueBackend engine,
-                            const std::string& path) {
+  const auto run_with = [&](int shards, const std::string& path) {
     ScenarioSpec s = spec;
     s.shards = shards;
-    s.engine = engine;
     s.trace_path = path;
     const exp::RunResult result = run_point(s, 1);
     EXPECT_TRUE(result.trace.enabled);
@@ -149,22 +141,20 @@ TEST(TraceFormat, CapturedRunBytesIdenticalAcrossShardsAndEngines) {
     return read_file(path);
   };
 
-  const std::string base =
-      run_with(1, sim::QueueBackend::kLadder, temp_path("id_s1.ftr"));
-  EXPECT_EQ(base,
-            run_with(2, sim::QueueBackend::kLadder, temp_path("id_s2.ftr")));
-  EXPECT_EQ(base,
-            run_with(4, sim::QueueBackend::kLadder, temp_path("id_s4.ftr")));
-  EXPECT_EQ(base,
-            run_with(2, sim::QueueBackend::kHeap, temp_path("id_heap.ftr")));
+  const std::string base = run_with(1, temp_path("id_s1.ftr"));
+  EXPECT_EQ(base, run_with(2, temp_path("id_s2.ftr")));
+  EXPECT_EQ(base, run_with(4, temp_path("id_s4.ftr")));
+  EXPECT_EQ(fnv1a(base), kRing64HeapTracePin);
 }
 
-// The time-partitioned drain pin: a monitored `large_torus` slice (the
-// heaviest registered workload per round, the one the partitioned drain
-// exists for) must stream byte-identical traces at --shards 1 and 2,
-// and ftgcs_trace's differ must agree. The run_unordered counters prove
-// the NEW path actually carried traffic — without that assertion this
-// would silently degrade into re-pinning the old ordered drain.
+// The time-partitioned drain and narrow-lane pin: a monitored
+// `large_torus` slice (the heaviest registered workload per round, the one
+// both mechanisms exist for) must stream byte-identical traces at
+// --shards 1 and 2, ftgcs_trace's differ must agree, and the bytes must
+// equal the heap engine's (which fired every delivery in exact order as
+// a wide entry). The counter assertions prove the partitioned drain and
+// the 16 B narrow lane actually carried traffic — without them this
+// would silently degrade into re-pinning the ordered, wide paths.
 TEST(TraceFormat, TorusMonitoredSliceIdenticalAcrossShardsViaPartitionedDrain) {
   exp::register_builtin_scenarios();
   ScenarioSpec spec = *exp::Registry::instance().find("large_torus");
@@ -174,7 +164,6 @@ TEST(TraceFormat, TorusMonitoredSliceIdenticalAcrossShardsViaPartitionedDrain) {
   const auto run_with = [&](int shards, const std::string& path) {
     ScenarioSpec s = spec;
     s.shards = shards;
-    s.engine = sim::QueueBackend::kLadder;
     s.trace_path = path;
     const exp::RunResult result = run_point(s, 1);
     EXPECT_TRUE(result.trace.enabled);
@@ -182,6 +171,9 @@ TEST(TraceFormat, TorusMonitoredSliceIdenticalAcrossShardsViaPartitionedDrain) {
     // Pure-receive pulses below the horizon went through the unordered
     // partitioned drain, not only the ordered batch runs.
     EXPECT_GT(result.queue.unordered_events, 0.0) << "shards=" << shards;
+    // Broadcast fan-outs rode the narrow lane via coalesced group inserts.
+    EXPECT_GT(result.queue.narrow_events, 0.0) << "shards=" << shards;
+    EXPECT_GT(result.queue.group_inserts, 0.0) << "shards=" << shards;
     return read_file(path);
   };
 
@@ -189,55 +181,9 @@ TEST(TraceFormat, TorusMonitoredSliceIdenticalAcrossShardsViaPartitionedDrain) {
   const std::string path_s2 = temp_path("torus_s2.ftr");
   const std::string base = run_with(1, path_s1);
   EXPECT_EQ(base, run_with(2, path_s2));
+  EXPECT_EQ(fnv1a(base), kTorus64HeapTracePin);
 
   const trace::TraceDiff diff = trace::diff_traces(path_s1, path_s2);
-  EXPECT_TRUE(diff.identical) << diff.reason;
-  EXPECT_GT(diff.records_compared, 0u);
-}
-
-// The bytes-per-event pin: broadcast fan-outs ride the ladder's 16 B
-// narrow lane via coalesced group inserts, and the captured trace must
-// stay byte-identical to the heap engine (which falls back to wide
-// per-delivery scheduling) at both shard counts. The narrow/group
-// counter assertions prove the NEW lane actually carried traffic —
-// without them this would silently re-pin the wide path.
-TEST(TraceFormat, TorusNarrowCoalescedLaneIdenticalAcrossEnginesAndShards) {
-  exp::register_builtin_scenarios();
-  ScenarioSpec spec = *exp::Registry::instance().find("large_torus");
-  spec.axes = {{"clusters", {AxisValue::of(64)}}};
-  apply_axis(spec, "clusters", 64.0);
-
-  const auto run_with = [&](int shards, sim::QueueBackend engine,
-                            bool expect_narrow, const std::string& path) {
-    ScenarioSpec s = spec;
-    s.shards = shards;
-    s.engine = engine;
-    s.trace_path = path;
-    const exp::RunResult result = run_point(s, 1);
-    EXPECT_TRUE(result.trace.enabled);
-    EXPECT_GT(result.trace.records, 0.0);
-    if (expect_narrow) {
-      EXPECT_GT(result.queue.narrow_events, 0.0) << "shards=" << shards;
-      EXPECT_GT(result.queue.group_inserts, 0.0) << "shards=" << shards;
-    } else {
-      // The heap fallback must not fabricate narrow entries.
-      EXPECT_EQ(result.queue.narrow_events, 0.0) << "shards=" << shards;
-    }
-    return read_file(path);
-  };
-
-  const std::string path_ladder = temp_path("narrow_l1.ftr");
-  const std::string path_heap = temp_path("narrow_h2.ftr");
-  const std::string base =
-      run_with(1, sim::QueueBackend::kLadder, true, path_ladder);
-  EXPECT_EQ(base, run_with(2, sim::QueueBackend::kLadder, true,
-                           temp_path("narrow_l2.ftr")));
-  EXPECT_EQ(base,
-            run_with(1, sim::QueueBackend::kHeap, false,
-                     temp_path("narrow_h1.ftr")));
-  EXPECT_EQ(base, run_with(2, sim::QueueBackend::kHeap, false, path_heap));
-
-  const trace::TraceDiff diff = trace::diff_traces(path_ladder, path_heap);
   EXPECT_TRUE(diff.identical) << diff.reason;
   EXPECT_GT(diff.records_compared, 0u);
 }

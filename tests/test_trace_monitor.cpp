@@ -4,8 +4,9 @@
 // over the node adjacency) of metrics::measure_skews' cluster-extreme
 // reduction; over the augmented graph (intra-cluster cliques + complete
 // bipartite bundles) the two are provably equal. These tests check that
-// equality AT EVERY PROBE on real runs — ring and torus, both queue
-// backends, single-simulator and sharded — with crash-stop and Byzantine
+// equality AT EVERY PROBE on real runs — ring and torus, single-simulator
+// and sharded, pinned to the deleted heap engine's trajectories
+// (tests/pins.h) — with crash-stop and Byzantine
 // faults active so the crashed-exclusion path is exercised for real, plus
 // synthetic-column pins for exclusion and first-violation cursor capture.
 #include <gtest/gtest.h>
@@ -23,10 +24,18 @@
 #include "metrics/skew_tracker.h"
 #include "net/channel.h"
 #include "par/sharded_system.h"
+#include "pins.h"
 #include "trace/monitor.h"
 
 namespace ftgcs {
 namespace {
+
+// Fingerprints of the heap engine's runs, recorded at the last commit that
+// had it: the per-probe offline skews of the crashed ring property run
+// (identical at 1 and 2 shards), and large_ring's monitor report at
+// clusters=64, 2 shards.
+constexpr std::uint64_t kRingProbeHeapPin = 0x058d355b60b9cf6bull;
+constexpr std::uint64_t kRing64MonitorHeapPin = 0x225a7edd0799861eull;
 
 using exp::AxisValue;
 using exp::ScenarioSpec;
@@ -47,8 +56,9 @@ MonitorBounds loose_bounds() {
 /// Drives `system` probe by probe and checks, at every probe, that a fresh
 /// monitor's per-probe maxima equal measure_skews' node-level quantities
 /// exactly, and that the cumulative monitor tracks the running maxima.
+/// Returns the offline per-probe samples as exact text (the trajectory).
 template <typename System>
-void expect_monitor_matches_offline(System& system,
+std::string expect_monitor_matches_offline(System& system,
                                     const net::AugmentedTopology& topo,
                                     const core::Params& params,
                                     const std::vector<int>& crash_ids,
@@ -63,11 +73,15 @@ void expect_monitor_matches_offline(System& system,
   for (int id : crash_ids) system.node(id).crash_at(4.25 * params.T);
 
   core::SystemColumns columns;
+  std::string trajectory;
   for (int probe = 1; probe <= 24; ++probe) {
     const sim::Time t = probe * 0.5 * params.T;
     system.run_until(t);
     system.snapshot_columns(columns);
     const metrics::SkewSample offline = metrics::measure_skews(columns, topo);
+    trajectory += pins::exact(offline.node_local) + " " +
+                  pins::exact(offline.node_global) + " " +
+                  pins::exact(offline.intra_cluster) + "\n";
 
     MonitorCursor cursor;
     cursor.at = t;
@@ -95,6 +109,7 @@ void expect_monitor_matches_offline(System& system,
   EXPECT_EQ(cumulative.stats().probes, 24u) << label;
   EXPECT_EQ(cumulative.stats().violations, 0u) << label;
   EXPECT_FALSE(cumulative.stats().has_violation) << label;
+  return trajectory;
 }
 
 /// One correct member per listed cluster (crash victims).
@@ -113,9 +128,9 @@ std::vector<int> pick_crash_ids(const core::FtGcsSystem& system,
   return ids;
 }
 
-void run_property(const net::Graph& graph, const std::vector<int>& crashes,
-                  sim::QueueBackend engine, int shards,
-                  const std::string& label) {
+std::string run_property(const net::Graph& graph,
+                         const std::vector<int>& crashes, int shards,
+                         const std::string& label) {
   const core::Params params = core::Params::practical(1e-3, 1.0, 0.01, 1);
   const net::AugmentedTopology topo(graph, params.k);
   const byz::FaultPlan plan = byz::FaultPlan::uniform(
@@ -126,16 +141,14 @@ void run_property(const net::Graph& graph, const std::vector<int>& crashes,
     config.params = params;
     config.seed = 5;
     config.fault_plan = plan;
-    config.engine = engine;
     core::FtGcsSystem system(graph, std::move(config));
-    expect_monitor_matches_offline(
+    return expect_monitor_matches_offline(
         system, topo, params, pick_crash_ids(system, topo, crashes), label);
   } else {
     par::ShardedFtGcsSystem::Config config;
     config.params = params;
     config.seed = 5;
     config.fault_plan = plan;
-    config.engine = engine;
     config.shards = shards;
     par::ShardedFtGcsSystem system(graph, std::move(config));
     // Victim selection needs a correctness oracle; build a twin single
@@ -145,25 +158,22 @@ void run_property(const net::Graph& graph, const std::vector<int>& crashes,
     oracle_config.seed = 5;
     oracle_config.fault_plan = plan;
     core::FtGcsSystem oracle(graph, std::move(oracle_config));
-    expect_monitor_matches_offline(
+    return expect_monitor_matches_offline(
         system, topo, params, pick_crash_ids(oracle, topo, crashes), label);
   }
 }
 
 TEST(TraceMonitor, MatchesOfflineSkewsOnRingEveryProbe) {
   const net::Graph graph = net::Graph::ring(8);
-  run_property(graph, {1, 6}, sim::QueueBackend::kLadder, 1, "ring/ladder/s1");
-  run_property(graph, {1, 6}, sim::QueueBackend::kHeap, 1, "ring/heap/s1");
-  run_property(graph, {1, 6}, sim::QueueBackend::kLadder, 2, "ring/ladder/s2");
-  run_property(graph, {1, 6}, sim::QueueBackend::kHeap, 2, "ring/heap/s2");
+  const std::string single = run_property(graph, {1, 6}, 1, "ring/s1");
+  EXPECT_EQ(single, run_property(graph, {1, 6}, 2, "ring/s2"));
+  EXPECT_EQ(pins::fnv1a(single), kRingProbeHeapPin) << single;
 }
 
 TEST(TraceMonitor, MatchesOfflineSkewsOnTorusEveryProbe) {
   const net::Graph graph = net::Graph::torus(4, 4);
-  run_property(graph, {0, 10}, sim::QueueBackend::kLadder, 1,
-               "torus/ladder/s1");
-  run_property(graph, {0, 10}, sim::QueueBackend::kLadder, 2,
-               "torus/ladder/s2");
+  EXPECT_EQ(run_property(graph, {0, 10}, 1, "torus/s1"),
+            run_property(graph, {0, 10}, 2, "torus/s2"));
 }
 
 /// Hand-built two-cluster graph (k = 2, clusters {0,1} and {2,3}, full
@@ -253,20 +263,19 @@ TEST(TraceMonitor, FirstViolationCapturesReplayCursor) {
   EXPECT_TRUE(std::isinf(monitor.m_lag_margin()));
 }
 
-TEST(TraceMonitor, RunPointReportsMatchMetricsAndAgreeAcrossBackends) {
+TEST(TraceMonitor, RunPointReportsMatchMetricsAcrossShardsAndHeapPin) {
   exp::register_builtin_scenarios();
   ScenarioSpec spec = *exp::Registry::instance().find("large_ring");
   spec.axes = {{"clusters", {AxisValue::of(64)}}};
   apply_axis(spec, "clusters", 64.0);
 
-  const auto run_with = [&](int shards, sim::QueueBackend engine) {
+  const auto run_with = [&](int shards) {
     ScenarioSpec s = spec;
     s.shards = shards;
-    s.engine = engine;
     return run_point(s, 1);
   };
 
-  const exp::RunResult base = run_with(1, sim::QueueBackend::kLadder);
+  const exp::RunResult base = run_with(1);
   ASSERT_TRUE(base.monitor.enabled);
   EXPECT_GT(base.monitor.stats.probes, 0u);
   // The monitor's running node-level maxima must equal the offline metric
@@ -277,20 +286,24 @@ TEST(TraceMonitor, RunPointReportsMatchMetricsAndAgreeAcrossBackends) {
   EXPECT_EQ(base.monitor.stats.violations, 0u);
   EXPECT_GT(base.monitor.bounds.local_skew, 0.0);
 
-  for (auto [shards, engine] :
-       {std::pair<int, sim::QueueBackend>{2, sim::QueueBackend::kLadder},
-        std::pair<int, sim::QueueBackend>{2, sim::QueueBackend::kHeap}}) {
-    const exp::RunResult other = run_with(shards, engine);
-    ASSERT_TRUE(other.monitor.enabled);
-    EXPECT_EQ(other.monitor.stats.probes, base.monitor.stats.probes);
-    EXPECT_EQ(other.monitor.stats.violations, base.monitor.stats.violations);
-    EXPECT_EQ(other.monitor.stats.max_local_skew,
-              base.monitor.stats.max_local_skew);
-    EXPECT_EQ(other.monitor.stats.max_global_skew,
-              base.monitor.stats.max_global_skew);
-    EXPECT_EQ(other.monitor.stats.max_intra_cluster,
-              base.monitor.stats.max_intra_cluster);
-  }
+  // The heap engine's 2-shard report.
+  const std::string report =
+      std::to_string(base.monitor.stats.probes) + " " +
+      std::to_string(base.monitor.stats.violations) + " " +
+      pins::exact(base.monitor.stats.max_local_skew) + " " +
+      pins::exact(base.monitor.stats.max_global_skew) + " " +
+      pins::exact(base.monitor.stats.max_intra_cluster);
+  EXPECT_EQ(pins::fnv1a(report), kRing64MonitorHeapPin) << report;
+  const exp::RunResult other = run_with(2);
+  ASSERT_TRUE(other.monitor.enabled);
+  EXPECT_EQ(other.monitor.stats.probes, base.monitor.stats.probes);
+  EXPECT_EQ(other.monitor.stats.violations, base.monitor.stats.violations);
+  EXPECT_EQ(other.monitor.stats.max_local_skew,
+            base.monitor.stats.max_local_skew);
+  EXPECT_EQ(other.monitor.stats.max_global_skew,
+            base.monitor.stats.max_global_skew);
+  EXPECT_EQ(other.monitor.stats.max_intra_cluster,
+            base.monitor.stats.max_intra_cluster);
 
   ScenarioSpec off = spec;
   off.monitors = false;
