@@ -11,6 +11,7 @@
 // genuinely Release-built dependency; see CMakeLists.txt).
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
@@ -662,7 +663,8 @@ void BM_TraceSinkEncode(benchmark::State& state) {
 }
 BENCHMARK(BM_TraceSinkEncode);
 
-// One monitor probe (the always-on cost): the O(V + E_aug) two-pass scan
+// One monitor probe (the always-on cost): the cluster-extreme reduction
+// (one pass over the node columns, then O(E_cluster) over the bundles)
 // over a real mid-run snapshot. Arg is the torus side (side² clusters,
 // 4·side² nodes); items are node-column reads per second.
 void BM_MonitorStep(benchmark::State& state) {
@@ -694,9 +696,10 @@ void BM_MonitorStep(benchmark::State& state) {
 BENCHMARK(BM_MonitorStep)->Arg(8)->Arg(16);
 
 // Histogram fill kernel: LogLinearHistogram::record over a precomputed
-// skew-shaped value stream (binary search over the fixed boundary table
-// + two scalar updates). This is the inner loop of every probe's edge
-// sweep; items are records/second.
+// skew-shaped value stream (an O(1) closed-form bucket guess with an
+// exact fix-up against the fixed boundary table + two scalar updates).
+// This is the inner loop of the probe sampler's per-value fallback for
+// spans that straddle a bucket boundary; items are records/second.
 void BM_HistogramRecord(benchmark::State& state) {
   obs::LogLinearHistogram hist(obs::ProbeSampler::scaled_spec(1.0));
   // Values spanning the linear section, the geometric tail, and the
@@ -720,12 +723,15 @@ void BM_HistogramRecord(benchmark::State& state) {
 BENCHMARK(BM_HistogramRecord);
 
 // Full probe-boundary sampling kernel: ProbeSampler::sample over a real
-// torus system's columnar snapshot — histogram refill (O(V+E) sweep),
-// gauge/counter updates, row serialization, and the fwrite — i.e. the
-// per-probe cost `--metrics` adds to a run. The sink is /dev/null so
-// the kernel measures the sampler, not the disk. Items are nodes/second
-// (compare against BM_MonitorStep, the other per-probe O(V+E) pass).
-void BM_MetricsSample(benchmark::State& state) {
+// torus system's columnar snapshot — the cluster-extreme reduction, the
+// histogram refill (one span per clique, bundle and cluster), gauge/counter
+// updates, row serialization, and the fwrite — i.e. the per-probe cost
+// `--metrics` adds to a run. The sink is /dev/null so the kernel measures
+// the sampler, not the disk. Items are nodes/second (compare against
+// BM_MonitorStep, the other per-probe pass); `split_frac` is the share of
+// local spans that straddled a bucket boundary and were recorded pair by
+// pair.
+void metrics_sample_kernel(benchmark::State& state, bool straddle) {
   const core::Params params = core::Params::practical(1e-3, 1.0, 0.01, 1);
   const int side = static_cast<int>(state.range(0));
   core::FtGcsSystem::Config config;
@@ -743,7 +749,15 @@ void BM_MetricsSample(benchmark::State& state) {
   obs::ProbeSampler::Config sampler_config;
   sampler_config.path = "/dev/null";
   sampler_config.monitors = false;
-  sampler_config.hist_scale = 1.0;
+  // The run's own scale is the one exp::run_point picks for this clean
+  // torus, max(intra-cluster bound, global-skew band): every span of the
+  // snapshot then fits one bucket. The straddle scale puts the bucket
+  // width far below the snapshot's skews instead.
+  sampler_config.hist_scale =
+      straddle ? 1e-4
+               : std::max(params.intra_cluster_skew_bound(),
+                          params.predicted_global_skew(
+                              system.topology().cluster_graph().diameter()));
   obs::ProbeSampler sampler(
       sampler_config, exp::build_topology_graph(system.topology(), delays));
   sampler.prewarm();
@@ -759,9 +773,27 @@ void BM_MetricsSample(benchmark::State& state) {
     ctx.messages += 11;
     sampler.sample(ctx);
   }
+  benchmark::DoNotOptimize(sampler.bytes());
+  const obs::ProbeSampler::FillStats& fill = sampler.fill_stats();
+  state.counters["split_frac"] =
+      fill.local_spans == 0 ? 0.0
+                            : static_cast<double>(fill.local_split) /
+                                  static_cast<double>(fill.local_spans);
   state.SetItemsProcessed(state.iterations() * columns.num_nodes());
 }
+
+// The run's own regime: the O(1) span path (split_frac 0).
+void BM_MetricsSample(benchmark::State& state) {
+  metrics_sample_kernel(state, /*straddle=*/false);
+}
 BENCHMARK(BM_MetricsSample)->Arg(8)->Arg(16);
+
+// The fallback regime: nearly every span straddles a bucket boundary and
+// is recorded pair by pair (split_frac ≈ 1).
+void BM_MetricsSampleStraddle(benchmark::State& state) {
+  metrics_sample_kernel(state, /*straddle=*/true);
+}
+BENCHMARK(BM_MetricsSampleStraddle)->Arg(16);
 
 // ---- main: refuse debug-library JSON ---------------------------------------
 

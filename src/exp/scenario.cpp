@@ -133,7 +133,20 @@ core::Params ParamsSpec::build() const {
       result = core::Params::custom(rho, d, U, f, mu, phi);
       break;
   }
-  if (cluster_size > 0) result = result.with_cluster_size(cluster_size);
+  if (cluster_size > 0) {
+    // The paper needs k >= 3f + 1 correct-majority copies per cluster;
+    // checked here, where f and cluster_size (possibly set by two axes in
+    // either order) are both final.
+    const long long min_size = 3LL * f + 1;
+    if (cluster_size < min_size) {
+      char buf[128];
+      std::snprintf(buf, sizeof buf,
+                    "cluster_size = %d is below 3f + 1 = %lld (f = %d)",
+                    cluster_size, min_size, f);
+      throw std::invalid_argument(buf);
+    }
+    result = result.with_cluster_size(cluster_size);
+  }
   return result;
 }
 

@@ -60,4 +60,14 @@ struct TopologyGraph {
 TopologyGraph build_topology_graph(const net::AugmentedTopology& topo,
                                    const net::DelayModel& delays);
 
+/// Cluster-level adjacency of an augmented graph: entry c lists the
+/// clusters joined to cluster c by a bundle. Checks that `graph` really is
+/// one — node ids c·cluster_size + i with a matching cluster_of, a clique
+/// per cluster, a complete bipartite bundle per listed cluster pair, no
+/// other edge, symmetric — and throws std::invalid_argument otherwise.
+/// The probe tier's cluster-extreme reductions are exact only on such a
+/// graph. O(V + E) once.
+std::vector<std::vector<int>> augmented_cluster_adjacency(
+    const TopologyGraph& graph);
+
 }  // namespace ftgcs::exp

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <limits>
 
+#include "metrics/cluster_extremes.h"
 #include "support/assert.h"
 
 namespace ftgcs::metrics {
@@ -16,8 +17,7 @@ constexpr double kInf = std::numeric_limits<double>::infinity();
 /// tight sweep loops do not allocate per sample (SweepRunner workers each
 /// get their own copy).
 struct Scratch {
-  std::vector<double> cluster_lo;
-  std::vector<double> cluster_hi;
+  ClusterExtremes extremes;
   std::vector<double> cluster_clock;
 };
 
@@ -32,40 +32,26 @@ SkewSample measure_skews(const core::SystemColumns& columns,
                          const net::AugmentedTopology& topo) {
   SkewSample out;
   out.at = columns.at;
-
-  const int n = columns.num_nodes();
-  FTGCS_EXPECTS(n == topo.num_nodes());
+  FTGCS_EXPECTS(columns.num_nodes() == topo.num_nodes());
 
   // Cluster clocks L_C = (L⁺ + L⁻)/2 over correct members, plus global
   // node-level extremes — one linear pass over the columns.
   const int clusters = topo.num_clusters();
   Scratch& s = scratch();
-  s.cluster_lo.assign(static_cast<std::size_t>(clusters), kInf);
-  s.cluster_hi.assign(static_cast<std::size_t>(clusters), -kInf);
-  double global_lo = kInf;
-  double global_hi = -kInf;
-  for (int id = 0; id < n; ++id) {
-    if (!columns.correct[static_cast<std::size_t>(id)]) continue;
-    const double logical = columns.logical[static_cast<std::size_t>(id)];
-    const auto c = static_cast<std::size_t>(topo.cluster_of(id));
-    s.cluster_lo[c] = std::min(s.cluster_lo[c], logical);
-    s.cluster_hi[c] = std::max(s.cluster_hi[c], logical);
-    global_lo = std::min(global_lo, logical);
-    global_hi = std::max(global_hi, logical);
-  }
-  out.node_global = global_hi >= global_lo ? global_hi - global_lo : 0.0;
+  const ClusterExtremes& x = s.extremes;
+  reduce_cluster_extremes(columns, topo.cluster_size(), s.extremes);
+  out.node_global = x.global_spread();
 
   s.cluster_clock.assign(static_cast<std::size_t>(clusters), 0.0);
   double cg_lo = kInf;
   double cg_hi = -kInf;
   for (int c = 0; c < clusters; ++c) {
     const auto i = static_cast<std::size_t>(c);
-    if (s.cluster_hi[i] < s.cluster_lo[i]) continue;  // no correct member
-    s.cluster_clock[i] = (s.cluster_lo[i] + s.cluster_hi[i]) / 2.0;
+    if (x.correct[i] == 0) continue;
+    s.cluster_clock[i] = (x.lo[i] + x.hi[i]) / 2.0;
     cg_lo = std::min(cg_lo, s.cluster_clock[i]);
     cg_hi = std::max(cg_hi, s.cluster_clock[i]);
-    out.intra_cluster =
-        std::max(out.intra_cluster, s.cluster_hi[i] - s.cluster_lo[i]);
+    out.intra_cluster = std::max(out.intra_cluster, x.hi[i] - x.lo[i]);
   }
   out.cluster_global = cg_hi >= cg_lo ? cg_hi - cg_lo : 0.0;
 
@@ -77,17 +63,14 @@ SkewSample measure_skews(const core::SystemColumns& columns,
   const net::Graph& g = topo.cluster_graph();
   for (int b = 0; b < clusters; ++b) {
     const auto bi = static_cast<std::size_t>(b);
-    if (s.cluster_hi[bi] < s.cluster_lo[bi]) continue;
+    if (x.correct[bi] == 0) continue;
     for (int c : g.neighbors(b)) {
       const auto ci = static_cast<std::size_t>(c);
-      if (c < b || s.cluster_hi[ci] < s.cluster_lo[ci]) continue;
+      if (c < b || x.correct[ci] == 0) continue;
       out.cluster_local =
           std::max(out.cluster_local,
                    std::abs(s.cluster_clock[bi] - s.cluster_clock[ci]));
-      const double spread =
-          std::max(std::abs(s.cluster_hi[bi] - s.cluster_lo[ci]),
-                   std::abs(s.cluster_hi[ci] - s.cluster_lo[bi]));
-      out.node_local = std::max(out.node_local, spread);
+      out.node_local = std::max(out.node_local, x.bundle_max(bi, ci));
     }
   }
   return out;

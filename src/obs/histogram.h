@@ -10,14 +10,21 @@
 // the exact running maximum), which keeps them deterministic too: a
 // percentile is a property of the bucket counts, never of a sort.
 //
-// record() is allocation-free and branch-light (binary search over the
-// precomputed boundaries); clear() resets the counts without touching
-// capacity, so a histogram registered at setup samples forever without
-// allocating — the ScopedAllocGuard pin in tests/test_obs_metrics.cpp
-// holds the subsystem to that.
+// bucket_index() is O(1): a closed-form guess (a division in the linear
+// section, a logarithm in the geometric one) followed by an exact fix-up
+// against the boundary table, so it returns exactly what std::upper_bound
+// over the boundaries would — negatives, NaN and ±inf included. Because
+// the mapping is monotone, record_span() can book n samples known to lie
+// in [lo, hi] in O(1) whenever both ends share a bucket (the probe
+// sampler's per-cluster and per-bundle fills). record() and
+// record_span() are allocation-free; clear() resets the counts without
+// touching capacity, so a histogram registered at setup samples forever
+// without allocating — the ScopedAllocGuard pin in
+// tests/test_obs_metrics.cpp holds the subsystem to that.
 #pragma once
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <vector>
 
@@ -46,6 +53,7 @@ class LogLinearHistogram {
          b += spec.linear_width) {
       boundaries_.push_back(b);
     }
+    linear_count_ = boundaries_.size();
     double b = spec.linear_max;
     while (b < spec.max) {
       boundaries_.push_back(b);
@@ -53,21 +61,53 @@ class LogLinearHistogram {
     }
     boundaries_.push_back(b);  // first boundary >= max
     counts_.assign(boundaries_.size() + 1, 0);
+    inv_log_growth_ = 1.0 / std::log(spec.growth);
   }
 
   /// Bucket index of `value`: the first bucket whose upper bound exceeds
   /// it (values below zero clamp into bucket 0, values at or past the
-  /// last boundary land in the overflow bucket).
+  /// last boundary — and NaN — land in the overflow bucket). Equal to
+  /// std::upper_bound over boundaries() for every double.
   std::size_t bucket_index(double value) const {
-    const auto it =
-        std::upper_bound(boundaries_.begin(), boundaries_.end(), value);
-    return static_cast<std::size_t>(it - boundaries_.begin());
+    const std::size_t last = boundaries_.size();
+    if (value < boundaries_[0]) return 0;
+    if (!(value < boundaries_[last - 1])) return last;  // also NaN
+    // value is finite in [boundaries_[0], boundaries_.back()): guess from
+    // the closed form of the spec, then walk to the exact bucket. The
+    // boundaries were accumulated by repeated addition/multiplication, so
+    // the guess is off by at most a few rounding steps.
+    std::size_t i;
+    if (value < spec_.linear_max) {
+      i = static_cast<std::size_t>(value / spec_.linear_width);
+    } else {
+      i = linear_count_ + 1 +
+          static_cast<std::size_t>(std::log(value / spec_.linear_max) *
+                                   inv_log_growth_);
+    }
+    if (i > last - 1) i = last - 1;
+    while (boundaries_[i] <= value) ++i;  // stops: value < back()
+    while (i > 0 && boundaries_[i - 1] > value) --i;
+    return i;
   }
 
   void record(double value) {
     ++counts_[bucket_index(value)];
     ++count_;
     if (value > max_seen_) max_seen_ = value;
+  }
+
+  /// Books `n` samples known to lie in [lo, hi], where `hi` is the value
+  /// of one of them, in O(1) — if both ends fall in one bucket, which by
+  /// monotonicity then holds all n. Returns false and records nothing if
+  /// the range straddles a boundary; the caller records each sample.
+  bool record_span(double lo, double hi, std::uint64_t n) {
+    const std::size_t i = bucket_index(hi);
+    if (bucket_index(lo) != i) return false;
+    if (n == 0) return true;
+    counts_[i] += n;
+    count_ += n;
+    if (hi > max_seen_) max_seen_ = hi;
+    return true;
   }
 
   /// Resets counts and the running max; capacity (and the boundary table)
@@ -105,12 +145,17 @@ class LogLinearHistogram {
   double max_seen() const { return max_seen_; }
   std::size_t num_buckets() const { return counts_.size(); }
   const std::vector<double>& boundaries() const { return boundaries_; }
+  /// Per-bucket counts, boundaries().size() + 1 long (the last is the
+  /// overflow bucket).
+  const std::vector<std::uint64_t>& counts() const { return counts_; }
   const Spec& spec() const { return spec_; }
 
  private:
   Spec spec_;
   std::vector<double> boundaries_;   ///< exclusive upper bounds, ascending
   std::vector<std::uint64_t> counts_;  ///< boundaries_.size() + 1 (overflow)
+  std::size_t linear_count_ = 0;  ///< boundaries below linear_max
+  double inv_log_growth_ = 0.0;   ///< 1 / ln(growth), for the guess
   std::uint64_t count_ = 0;
   double max_seen_ = 0.0;
 };

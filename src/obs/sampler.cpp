@@ -1,7 +1,6 @@
 #include "obs/sampler.h"
 
 #include <cmath>
-#include <limits>
 #include <stdexcept>
 
 #include "support/assert.h"
@@ -20,7 +19,9 @@ LogLinearHistogram::Spec ProbeSampler::scaled_spec(double scale) {
 
 ProbeSampler::ProbeSampler(Config config, exp::TopologyGraph graph)
     : path_(config.path),
-      graph_(std::move(graph)),
+      num_nodes_(graph.num_nodes()),
+      cluster_size_(graph.cluster_size),
+      cluster_neighbors_(exp::augmented_cluster_adjacency(graph)),
       measure_m_lag_(config.measure_m_lag) {
   FTGCS_EXPECTS(!path_.empty());
   const LogLinearHistogram::Spec spec = scaled_spec(config.hist_scale);
@@ -77,15 +78,20 @@ void ProbeSampler::write_header(const Config& config) {
   // the series (ftgcs_report's convergence table divides by these).
   // Writing it in the constructor also forces stdio to allocate the
   // stream buffer now, before the allocation guard engages.
-  std::size_t undirected_edges = 0;
-  for (const auto& row : graph_.adjacency) undirected_edges += row.size();
-  undirected_edges /= 2;
+  // Cliques plus bundles (the constructor checked the graph is exactly
+  // that): k(k−1)/2 edges per cluster and k² per cluster edge.
+  const auto k = static_cast<std::uint64_t>(cluster_size_);
+  std::uint64_t cluster_edges = 0;
+  for (const auto& row : cluster_neighbors_) cluster_edges += row.size();
+  cluster_edges /= 2;
+  const std::uint64_t undirected_edges =
+      cluster_neighbors_.size() * k * (k - 1) / 2 + cluster_edges * k * k;
 
   line_.clear();
   line_ += "{\"schema\":\"ftgcs-metrics-v1\",\"nodes\":";
-  append_json_u64(line_, static_cast<std::uint64_t>(graph_.num_nodes()));
+  append_json_u64(line_, static_cast<std::uint64_t>(num_nodes_));
   line_ += ",\"clusters\":";
-  append_json_u64(line_, static_cast<std::uint64_t>(graph_.num_clusters));
+  append_json_u64(line_, cluster_neighbors_.size());
   line_ += ",\"edges\":";
   append_json_u64(line_, undirected_edges);
   line_ += ",\"hist_scale\":";
@@ -106,6 +112,71 @@ void ProbeSampler::write_header(const Config& config) {
 
 void ProbeSampler::prewarm() {
   line_.reserve(registry_.line_reserve_hint() + 64);
+  const std::size_t clusters = cluster_neighbors_.size();
+  extremes_.lo.reserve(clusters);
+  extremes_.hi.reserve(clusters);
+  extremes_.correct.reserve(clusters);
+}
+
+void ProbeSampler::fill_local(const core::SystemColumns& cols) {
+  const metrics::ClusterExtremes& x = extremes_;
+  const auto k = static_cast<std::size_t>(cluster_size_);
+  // Every pair of correct members of clusters b and c (b == c: each
+  // unordered pair of the clique once).
+  const auto record_pairs = [&](std::size_t b, std::size_t c) {
+    for (std::size_t v = b * k; v < (b + 1) * k; ++v) {
+      if (!cols.correct[v]) continue;
+      const double lv = cols.logical[v];
+      for (std::size_t w = b == c ? v + 1 : c * k; w < (c + 1) * k; ++w) {
+        if (cols.correct[w]) {
+          local_hist_->record(std::fabs(lv - cols.logical[w]));
+        }
+      }
+    }
+  };
+  for (std::size_t c = 0; c < cluster_neighbors_.size(); ++c) {
+    const auto nc = static_cast<std::uint64_t>(x.correct[c]);
+    if (nc == 0) continue;
+    if (nc >= 2) {
+      ++fill_stats_.local_spans;
+      if (!local_hist_->record_span(0.0, x.hi[c] - x.lo[c],
+                                    nc * (nc - 1) / 2)) {
+        ++fill_stats_.local_split;
+        record_pairs(c, c);
+      }
+    }
+    for (const int b : cluster_neighbors_[c]) {
+      const auto bi = static_cast<std::size_t>(b);
+      if (bi < c || x.correct[bi] == 0) continue;
+      ++fill_stats_.local_spans;
+      if (!local_hist_->record_span(
+              x.bundle_min(c, bi), x.bundle_max(c, bi),
+              nc * static_cast<std::uint64_t>(x.correct[bi]))) {
+        ++fill_stats_.local_split;
+        record_pairs(c, bi);
+      }
+    }
+  }
+}
+
+void ProbeSampler::fill_global(const core::SystemColumns& cols) {
+  const metrics::ClusterExtremes& x = extremes_;
+  const double min_logical = x.global_lo;
+  if (!std::isfinite(min_logical)) return;
+  const auto k = static_cast<std::size_t>(cluster_size_);
+  for (std::size_t c = 0; c < cluster_neighbors_.size(); ++c) {
+    if (x.correct[c] == 0) continue;
+    ++fill_stats_.global_spans;
+    if (global_hist_->record_span(
+            x.lo[c] - min_logical, x.hi[c] - min_logical,
+            static_cast<std::uint64_t>(x.correct[c]))) {
+      continue;
+    }
+    ++fill_stats_.global_split;
+    for (std::size_t v = c * k; v < (c + 1) * k; ++v) {
+      if (cols.correct[v]) global_hist_->record(cols.logical[v] - min_logical);
+    }
+  }
 }
 
 void ProbeSampler::sample(const SampleContext& ctx) {
@@ -115,41 +186,15 @@ void ProbeSampler::sample(const SampleContext& ctx) {
   registry_.clear_histograms();
 
   const core::SystemColumns& cols = *ctx.columns;
-  const int n = graph_.num_nodes();
+  FTGCS_EXPECTS(cols.num_nodes() == num_nodes_);
 
-  // Per-edge node-local skews (each undirected augmented edge once, from
-  // its lower endpoint; crashed endpoints excluded like the ground
-  // truth). The histogram's running max is then exactly the node-local
-  // skew measure_skews reports.
-  for (int v = 0; v < n; ++v) {
-    const auto sv = static_cast<std::size_t>(v);
-    if (!cols.correct[sv]) continue;
-    const double lv = cols.logical[sv];
-    for (const int w : graph_.adjacency[sv]) {
-      if (w <= v) continue;
-      const auto sw = static_cast<std::size_t>(w);
-      if (!cols.correct[sw]) continue;
-      local_hist_->record(std::fabs(lv - cols.logical[sw]));
-    }
-  }
-
-  // Per-node offsets above the slowest correct clock; the max offset is
-  // the node-global skew (spread of the correct ensemble).
-  double min_logical = std::numeric_limits<double>::infinity();
-  for (int v = 0; v < n; ++v) {
-    const auto sv = static_cast<std::size_t>(v);
-    if (cols.correct[sv] && cols.logical[sv] < min_logical) {
-      min_logical = cols.logical[sv];
-    }
-  }
-  if (std::isfinite(min_logical)) {
-    for (int v = 0; v < n; ++v) {
-      const auto sv = static_cast<std::size_t>(v);
-      if (cols.correct[sv]) {
-        global_hist_->record(cols.logical[sv] - min_logical);
-      }
-    }
-  }
+  // Node-local skews, one per augmented edge between correct nodes (the
+  // histogram's running max is then exactly the node-local skew
+  // measure_skews reports), and per-node offsets above the slowest
+  // correct clock (the max offset is the node-global skew).
+  metrics::reduce_cluster_extremes(cols, cluster_size_, extremes_);
+  fill_local(cols);
+  fill_global(cols);
 
   events_->value = ctx.events;
   messages_->value = ctx.messages;

@@ -3,8 +3,8 @@
 // One sampler = one JSONL file. The constructor writes a header row
 // (schema id + topology shape + the monitor's envelope bounds) and
 // registers the fixed metric schema; every probe boundary then calls
-// sample(), which refills the per-probe histograms with one O(V + E)
-// sweep over the columnar snapshot, updates gauges/counters from the
+// sample(), which refills the per-probe histograms from the per-cluster
+// clock extremes of the columnar snapshot, updates gauges/counters from the
 // ground-truth skew sample and the invariant monitor, and appends one
 // JSON row. Everything serialized here is a pure function of (scenario,
 // seed, probe time) — NEVER of the queue's internal tiers or the shard
@@ -13,10 +13,18 @@
 // tests/test_obs_metrics.cpp); tier- and shard-dependent diagnostics go
 // to the PhaseProfiler sidecar instead.
 //
-// Determinism of the sweep itself: nodes and edges are visited in node-id
-// order (each undirected edge once, from its lower endpoint), so the
-// float accumulations and histogram fills see one canonical order no
-// matter how the run was executed.
+// The histogram fill: the local histogram holds one |L_v − L_w| per
+// augmented edge between correct nodes, the global one L_v − min L per
+// correct node. The augmented graph is cliques joined by complete
+// bipartite bundles (checked by the constructor, which throws
+// std::invalid_argument on any other graph), so each clique, bundle and
+// cluster is one span of values whose bounds follow from the cluster
+// extremes (metrics/cluster_extremes.h): when both bounds share a bucket
+// the whole span is booked in O(1) (LogLinearHistogram::record_span),
+// otherwise its pairs or members are recorded one by one. Bucket counts,
+// count and max are integers and an exact max, so the fill order cannot
+// change a byte; tests/test_probe_sampler.cpp checks the histograms
+// against an edge-by-edge fill at every probe.
 //
 // Allocation contract: after prewarm() the sample() path allocates
 // nothing — the row buffer and histogram storage are capacity-pinned and
@@ -27,9 +35,11 @@
 #include <cstdint>
 #include <cstdio>
 #include <string>
+#include <vector>
 
 #include "core/node_table.h"
 #include "exp/topology_graph.h"
+#include "metrics/cluster_extremes.h"
 #include "metrics/skew_tracker.h"
 #include "obs/metrics.h"
 #include "trace/monitor.h"
@@ -70,9 +80,20 @@ class ProbeSampler {
   /// growth up to 64·scale.
   static LogLinearHistogram::Spec scaled_spec(double scale);
 
-  /// Copies the resolved topology (same ownership rule as
-  /// trace::InvariantMonitor: the sampler outlives resolution scratch).
-  /// Opens `config.path` and writes the header row.
+  /// How the histogram fills split: spans booked in O(1) vs spans that
+  /// straddled a bucket boundary and were recorded value by value. Local
+  /// spans are cliques and bundles, global spans are clusters.
+  struct FillStats {
+    std::uint64_t local_spans = 0;
+    std::uint64_t local_split = 0;
+    std::uint64_t global_spans = 0;
+    std::uint64_t global_split = 0;
+  };
+
+  /// Keeps the cluster-level adjacency of the resolved topology (same
+  /// ownership rule as trace::InvariantMonitor: the sampler outlives
+  /// resolution scratch); throws std::invalid_argument unless `graph` is
+  /// an augmented graph. Opens `config.path` and writes the header row.
   ProbeSampler(Config config, exp::TopologyGraph graph);
   ~ProbeSampler();
 
@@ -96,12 +117,23 @@ class ProbeSampler {
   std::uint64_t bytes() const { return bytes_; }
   const std::string& path() const { return path_; }
   MetricsRegistry& registry() { return registry_; }
+  /// The per-probe histograms as the last sample() left them.
+  const LogLinearHistogram& local_histogram() const { return *local_hist_; }
+  const LogLinearHistogram& global_histogram() const { return *global_hist_; }
+  /// Fill split, summed over every sample() so far.
+  const FillStats& fill_stats() const { return fill_stats_; }
 
  private:
   void write_header(const Config& config);
+  void fill_local(const core::SystemColumns& cols);
+  void fill_global(const core::SystemColumns& cols);
 
   std::string path_;
-  exp::TopologyGraph graph_;
+  int num_nodes_ = 0;
+  int cluster_size_ = 0;
+  std::vector<std::vector<int>> cluster_neighbors_;
+  metrics::ClusterExtremes extremes_;  ///< probe scratch, reused
+  FillStats fill_stats_;
   bool measure_m_lag_ = false;
   std::FILE* file_ = nullptr;
   MetricsRegistry registry_;

@@ -1,9 +1,7 @@
 #include "trace/monitor.h"
 
 #include <algorithm>
-#include <cmath>
 #include <limits>
-#include <utility>
 
 #include "support/assert.h"
 
@@ -15,7 +13,10 @@ constexpr double kInf = std::numeric_limits<double>::infinity();
 
 InvariantMonitor::InvariantMonitor(exp::TopologyGraph graph,
                                    MonitorBounds bounds)
-    : graph_(std::move(graph)), bounds_(bounds) {}
+    : num_nodes_(graph.num_nodes()),
+      cluster_size_(graph.cluster_size),
+      cluster_neighbors_(exp::augmented_cluster_adjacency(graph)),
+      bounds_(bounds) {}
 
 void InvariantMonitor::check(const char* invariant, double value,
                              double bound, const MonitorCursor& cursor) {
@@ -29,51 +30,28 @@ void InvariantMonitor::check(const char* invariant, double value,
 
 void InvariantMonitor::observe(const core::SystemColumns& columns,
                                const MonitorCursor& cursor) {
-  const int n = columns.num_nodes();
-  FTGCS_EXPECTS(n == graph_.num_nodes());
+  FTGCS_EXPECTS(columns.num_nodes() == num_nodes_);
   ++stats_.probes;
 
-  // Pass 1 — per-cluster and global extremes over correct (non-crashed)
-  // nodes. columns.correct is 0 for Byzantine ids AND for crash-stopped
-  // nodes, so crashed clocks never enter an aggregate.
-  const auto clusters = static_cast<std::size_t>(graph_.num_clusters);
-  cluster_lo_.assign(clusters, kInf);
-  cluster_hi_.assign(clusters, -kInf);
-  double global_lo = kInf;
-  double global_hi = -kInf;
-  for (int id = 0; id < n; ++id) {
-    const auto i = static_cast<std::size_t>(id);
-    if (!columns.correct[i]) continue;
-    const double logical = columns.logical[i];
-    const auto c = static_cast<std::size_t>(graph_.cluster_of[i]);
-    cluster_lo_[c] = std::min(cluster_lo_[c], logical);
-    cluster_hi_[c] = std::max(cluster_hi_[c], logical);
-    global_lo = std::min(global_lo, logical);
-    global_hi = std::max(global_hi, logical);
-  }
-  const double global_skew =
-      global_hi >= global_lo ? global_hi - global_lo : 0.0;
+  // Per-cluster extremes over correct nodes. columns.correct is 0 for
+  // Byzantine ids AND for crash-stopped nodes, so crashed clocks never
+  // enter an aggregate.
+  metrics::reduce_cluster_extremes(columns, cluster_size_, extremes_);
+  const metrics::ClusterExtremes& x = extremes_;
+  const double global_skew = x.global_spread();
   double intra = 0.0;
-  for (std::size_t c = 0; c < clusters; ++c) {
-    if (cluster_hi_[c] >= cluster_lo_[c]) {
-      intra = std::max(intra, cluster_hi_[c] - cluster_lo_[c]);
-    }
+  for (std::size_t c = 0; c < cluster_neighbors_.size(); ++c) {
+    if (x.correct[c] > 0) intra = std::max(intra, x.hi[c] - x.lo[c]);
   }
-
-  // Pass 2 — node-local skew edge by edge over the augmented adjacency
-  // (each undirected edge visited once via v < w). Deliberately NOT the
-  // cluster-extreme shortcut measure_skews uses; equality of the two is a
-  // tested property of the clique + bipartite structure.
-  double local = 0.0;
-  for (int v = 0; v < n; ++v) {
-    const auto vi = static_cast<std::size_t>(v);
-    if (!columns.correct[vi]) continue;
-    const double lv = columns.logical[vi];
-    for (int w : graph_.adjacency[vi]) {
-      if (w <= v) continue;
-      const auto wi = static_cast<std::size_t>(w);
-      if (!columns.correct[wi]) continue;
-      local = std::max(local, std::abs(lv - columns.logical[wi]));
+  // Node-local skew: the cliques give `intra`, each bundle (visited once,
+  // from its lower cluster) its extreme cross-cluster pair.
+  double local = intra;
+  for (std::size_t c = 0; c < cluster_neighbors_.size(); ++c) {
+    if (x.correct[c] == 0) continue;
+    for (const int b : cluster_neighbors_[c]) {
+      const auto bi = static_cast<std::size_t>(b);
+      if (bi < c || x.correct[bi] == 0) continue;
+      local = std::max(local, x.bundle_max(c, bi));
     }
   }
 

@@ -9,23 +9,27 @@
 // cursor: simulation time, engine event count, and the byte offset into
 // the trace file at which replay would resume (when tracing is on).
 //
-// The skew scan is an INDEPENDENT reimplementation of the ground truth:
-// it takes the edge-by-edge maximum over the node-level adjacency of the
-// resolved exp::TopologyGraph rather than metrics::measure_skews'
-// cluster-extreme reduction. Over the augmented graph (intra-cluster
-// cliques + complete bipartite bundles) the two are provably equal, which
-// tests/test_trace_monitor.cpp checks at every probe — a genuine
-// cross-check, not a tautology.
+// The skews come from the cluster-extreme reduction
+// (metrics/cluster_extremes.h) that metrics::measure_skews also uses:
+// node-local skew is max(intra, max over cluster edges {B, C} of
+// max(|hi_B − lo_C|, |hi_C − lo_B|)), which over the augmented graph
+// (intra-cluster cliques + complete bipartite bundles) is exactly the
+// edge-by-edge maximum. The constructor checks that structure and throws
+// std::invalid_argument on any other graph; tests/test_trace_monitor.cpp
+// checks the result against an independent edge-by-edge oracle
+// (tests/skew_oracle.h) at every probe.
 //
-// Cost: one O(V + E_aug) scan per probe, no allocation after the first
+// Cost: O(V + E_cluster) per probe, no allocation after the first
 // (scratch vectors are reused) — O(1) amortized per simulated event at
 // the default probe cadence, which is what lets the monitors default ON.
 #pragma once
 
 #include <cstdint>
+#include <vector>
 
 #include "core/node_table.h"
 #include "exp/topology_graph.h"
+#include "metrics/cluster_extremes.h"
 #include "sim/time_types.h"
 
 namespace ftgcs::trace {
@@ -69,11 +73,13 @@ class InvariantMonitor {
     Violation first;  ///< valid iff has_violation
   };
 
-  /// Copies the resolved topology (the monitor outlives probe scratch and
-  /// must not dangle into the run's resolution state).
+  /// Keeps the cluster-level adjacency of the resolved topology (the
+  /// monitor outlives probe scratch and must not dangle into the run's
+  /// resolution state). Throws std::invalid_argument unless `graph` is an
+  /// augmented graph (exp::augmented_cluster_adjacency).
   InvariantMonitor(exp::TopologyGraph graph, MonitorBounds bounds);
 
-  /// One probe: scans the columnar snapshot (crashed nodes carry
+  /// One probe: reduces the columnar snapshot (crashed nodes carry
   /// columns.correct == 0 and are excluded from every aggregate, exactly
   /// as the ground-truth measurement excludes them) and checks the skew
   /// bounds against this probe's values.
@@ -98,11 +104,12 @@ class InvariantMonitor {
   void check(const char* invariant, double value, double bound,
              const MonitorCursor& cursor);
 
-  exp::TopologyGraph graph_;
+  int num_nodes_ = 0;
+  int cluster_size_ = 0;
+  std::vector<std::vector<int>> cluster_neighbors_;
   MonitorBounds bounds_;
   Stats stats_;
-  std::vector<double> cluster_lo_;  ///< probe scratch, reused
-  std::vector<double> cluster_hi_;
+  metrics::ClusterExtremes extremes_;  ///< probe scratch, reused
 };
 
 }  // namespace ftgcs::trace

@@ -247,6 +247,37 @@ TEST(Scenario, AxisApplicationCoversDocumentedNames) {
   EXPECT_EQ(spec.faults.count, 0);
 }
 
+TEST(Scenario, ClusterSizeBelowThreeFPlusOneIsATypedError) {
+  // cluster_size and f are separate axes, so k >= 3f + 1 is checked when
+  // the spec is resolved; it used to abort in Params::with_cluster_size.
+  register_builtin_scenarios();
+  const ScenarioSpec* registered =
+      Registry::instance().find("e1_local_skew_vs_diameter");
+  ASSERT_NE(registered, nullptr);
+  ScenarioSpec spec = *registered;
+  apply_axis(spec, "diameter", spec.axes.front().values.front().value);
+  for (const int size : {1, 2, 3}) {
+    apply_axis(spec, "cluster_size", size);
+    EXPECT_THROW(spec.params.build(), std::invalid_argument) << size;
+    try {
+      (void)resolve(spec, 1);
+      ADD_FAILURE() << "cluster_size=" << size << " with f=1 must throw";
+    } catch (const std::invalid_argument& error) {
+      const std::string what = error.what();
+      EXPECT_NE(what.find("cluster_size = " + std::to_string(size)),
+                std::string::npos) << what;
+      EXPECT_NE(what.find("3f + 1 = 4"), std::string::npos) << what;
+    }
+  }
+  apply_axis(spec, "f", 2);
+  apply_axis(spec, "cluster_size", 4);
+  EXPECT_THROW(spec.params.build(), std::invalid_argument);
+  apply_axis(spec, "cluster_size", 7);
+  EXPECT_EQ(spec.params.build().k, 7);
+  apply_axis(spec, "cluster_size", 0);  // 0 = derived 3f + 1
+  EXPECT_EQ(spec.params.build().k, 7);
+}
+
 TEST(Sinks, AllThreeRenderEveryRow) {
   ScenarioSpec spec = small_scenario();
   spec.axes = {{"clusters", {AxisValue::of(2)}}};

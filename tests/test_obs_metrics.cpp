@@ -9,8 +9,11 @@
 // obs/sampler.cpp and this constant together.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -65,6 +68,63 @@ TEST(LogLinearHistogram, BucketBoundariesExactFromSpec) {
   EXPECT_EQ(h.bucket_index(7.99), 6u);
   EXPECT_EQ(h.bucket_index(8.0), 7u);   // overflow bucket
   EXPECT_EQ(h.bucket_index(1e12), 7u);
+}
+
+TEST(LogLinearHistogram, BucketIndexEqualsUpperBoundEverywhere) {
+  // bucket_index guesses from the spec's closed form and fixes up against
+  // the accumulated boundary table; it must agree with a binary search on
+  // every boundary, one ulp either side, and the special values.
+  const double kInf = std::numeric_limits<double>::infinity();
+  const std::vector<LogLinearHistogram::Spec> specs = {
+      {0.25, 1.0, 2.0, 8.0},
+      obs::ProbeSampler::scaled_spec(1.0),
+      obs::ProbeSampler::scaled_spec(664.0),
+      obs::ProbeSampler::scaled_spec(3.7e-5),
+      {0.3, 1.7, 1.1, 1e4},
+      {1e-4, 1e-2, 1.5, 1e3},
+      {0.1, 0.35, 1.01, 2.0},
+  };
+  for (const LogLinearHistogram::Spec& spec : specs) {
+    const LogLinearHistogram h(spec);
+    const std::vector<double>& bounds = h.boundaries();
+    const auto reference = [&](double v) {
+      return static_cast<std::size_t>(
+          std::upper_bound(bounds.begin(), bounds.end(), v) - bounds.begin());
+    };
+    std::vector<double> probes = {-1.0,  -0.0, 0.0, kInf, -kInf,
+                                  std::numeric_limits<double>::quiet_NaN(),
+                                  spec.linear_max, spec.max, 1e300};
+    for (const double b : bounds) {
+      probes.push_back(b);
+      probes.push_back(std::nextafter(b, -kInf));
+      probes.push_back(std::nextafter(b, kInf));
+      probes.push_back(b * 0.5 + std::nextafter(b, kInf) * 0.5);
+    }
+    for (const double v : probes) {
+      EXPECT_EQ(h.bucket_index(v), reference(v))
+          << "value " << v << " spec width " << spec.linear_width;
+    }
+  }
+}
+
+TEST(LogLinearHistogram, RecordSpanBooksOneBucketOrDeclines) {
+  LogLinearHistogram span({1.0, 10.0, 2.0, 80.0});
+  LogLinearHistogram each({1.0, 10.0, 2.0, 80.0});
+  // [2.25, 2.75] sits in bucket [2, 3): booked in O(1).
+  EXPECT_TRUE(span.record_span(2.25, 2.75, 5));
+  for (int i = 0; i < 4; ++i) each.record(2.25);
+  each.record(2.75);
+  EXPECT_EQ(span.counts(), each.counts());
+  EXPECT_EQ(span.count(), 5u);
+  EXPECT_EQ(span.max_seen(), 2.75);
+  // [2.5, 3.0] straddles the boundary 3: nothing is recorded.
+  EXPECT_FALSE(span.record_span(2.5, 3.0, 4));
+  EXPECT_EQ(span.counts(), each.counts());
+  EXPECT_EQ(span.count(), 5u);
+  // An empty span changes nothing, not even the max.
+  EXPECT_TRUE(span.record_span(40.0, 50.0, 0));
+  EXPECT_EQ(span.count(), 5u);
+  EXPECT_EQ(span.max_seen(), 2.75);
 }
 
 TEST(LogLinearHistogram, PercentilesAreBucketBoundsClippedToMax) {
@@ -123,12 +183,13 @@ TEST(ProbeSampler, ScaledSpecDerivesFromScale) {
 // registry storage is fixed at registration, and the stdio stream buffer
 // was forced into existence by the header write in the constructor.
 TEST(ProbeSampler, SteadyStateSamplingAllocatesNothing) {
-  // Hand-built 4-node topology (2 clusters × 2, a 4-cycle) — the
-  // sampler only reads adjacency/cluster shape, so this stays tiny.
+  // Hand-built 4-node augmented topology (2 clusters × 2: two cliques
+  // and one complete bipartite bundle) — the sampler only reads the
+  // cluster shape, so this stays tiny.
   exp::TopologyGraph graph;
   graph.num_clusters = 2;
   graph.cluster_size = 2;
-  graph.adjacency = {{1, 3}, {0, 2}, {1, 3}, {0, 2}};
+  graph.adjacency = {{1, 2, 3}, {0, 2, 3}, {3, 0, 1}, {2, 0, 1}};
   graph.cluster_of = {0, 0, 1, 1};
   graph.min_delay = 0.5;
   graph.max_delay = 1.0;
@@ -177,7 +238,7 @@ TEST(ProbeSampler, SteadyStateSamplingAllocatesNothing) {
   EXPECT_EQ(series.rows.size(), 200u);
   EXPECT_EQ(series.header.number("nodes"), 4.0);
   // Histogram max fields are exact (clipped to max_seen): the worst
-  // 4-cycle edge gap is |2.0 − 1.0| = 1.0 every probe.
+  // edge gap is |2.0 − 1.0| = 1.0 every probe.
   EXPECT_EQ(series.rows.back().number("local_max"), 1.0);
   EXPECT_EQ(series.rows.back().number("global_max"), 1.0);
 }

@@ -189,7 +189,12 @@ TEST(QueueDifferential, RandomOpStreamPopsIdentically) {
     if (pick < 0.28 || d.live_count() == 0) {
       d.schedule(draw_time(rng, now), op);
     } else if (pick < 0.40) {
-      d.schedule_fire_only(draw_time(rng, now), op);
+      // Half of the single fire-only sends take the inline 32-byte lane.
+      if (op % 2 == 0) {
+        d.schedule_inline(draw_time(rng, now), op);
+      } else {
+        d.schedule_fire_only(draw_time(rng, now), op);
+      }
     } else if (pick < 0.50) {
       // Coalesced fan-out whose delays straddle the tier boundaries:
       // near-future (wheel), dense (rung-bound buckets) and far spikes
@@ -226,15 +231,20 @@ TEST(QueueDifferential, RandomOpStreamPopsIdentically) {
       const Time cluster = now + 50.0 + rng.next_double();
       const int pile = bursts++ % 64 == 0 ? 2100 : 100;
       for (int i = 100; i < pile; ++i) {
-        d.schedule_fire_only(cluster + 1e-6 * rng.next_double(),
-                             op * 1000 + i);
+        if (i % 2 == 0) {
+          d.schedule_inline(cluster + 1e-6 * rng.next_double(),
+                            op * 1000 + i);
+        } else {
+          d.schedule_fire_only(cluster + 1e-6 * rng.next_double(),
+                               op * 1000 + i);
+        }
       }
       for (int i = 0; i < 100; ++i) {
         if (i % 3 == 0) {
           d.schedule(cluster + 1e-6 * rng.next_double(), op * 1000 + i);
         } else if (i % 3 == 1) {
-          d.schedule_fire_only(cluster + 1e-6 * rng.next_double(),
-                               op * 1000 + i);
+          d.schedule_inline(cluster + 1e-6 * rng.next_double(),
+                            op * 1000 + i);
         } else {
           // Narrow entries must ride the same bucket splits: pile group
           // members into the cluster so rung spawns see both lanes.
@@ -328,9 +338,13 @@ TEST(QueueDifferential, SparseRegimeRewindowsAndPopsIdentically) {
     return at + 1e5 * (1.0 + rng.next_double());
   };
   for (int i = 0; i < 6; ++i) d.schedule(far_time(now), i);
+  // A broadcast of 8: seven coalesced deliveries and one single inline
+  // fire-only send, scheduled first at the first delivery's instant — an
+  // exact cross-lane tie the inline entry must win by seq.
   const auto deliver = [&d, &rng](Time at, std::int32_t tag) {
-    std::vector<Duration> delays(8);
+    std::vector<Duration> delays(7);
     for (Duration& delay : delays) delay = 0.999 + 1e-3 * rng.next_double();
+    d.schedule_inline(at + delays[0], tag + 7);
     d.schedule_group(at, delays, tag);
   };
   for (int i = 0; i < 10; ++i) deliver(rng.next_double(), 1000 + i);
@@ -339,7 +353,7 @@ TEST(QueueDifferential, SparseRegimeRewindowsAndPopsIdentically) {
     now = d.pop();
     ++popped;
     // Every delivery is replaced one for one: a broadcast of 8 per 8
-    // pops, alternating with single fire-only sends.
+    // pops.
     if (step % 8 == 0) {
       deliver(now, 2000 + step);
     }
@@ -400,9 +414,13 @@ TEST(QueueDifferential, UniformTorusShapeNeverRewindows) {
   Rng rng(12);
   Differ d;
   Time now = 0.0;
+  // A broadcast of 5: four coalesced deliveries and one single inline
+  // fire-only send, scheduled first at the first delivery's instant — an
+  // exact cross-lane tie the inline entry must win by seq.
   const auto deliver = [&d, &rng](Time at, std::int32_t tag) {
-    std::vector<Duration> delays(5);
+    std::vector<Duration> delays(4);
     for (Duration& delay : delays) delay = 0.999 + 1e-3 * rng.next_double();
+    d.schedule_inline(at + delays[0], tag + 5);
     d.schedule_group(at, delays, tag);
   };
   for (int i = 0; i < 800; ++i) deliver(rng.next_double(), i);

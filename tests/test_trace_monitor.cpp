@@ -1,19 +1,21 @@
 // Online invariant monitors vs offline ground truth.
 //
-// The monitor's skew scan is an independent reimplementation (edge-by-edge
-// over the node adjacency) of metrics::measure_skews' cluster-extreme
-// reduction; over the augmented graph (intra-cluster cliques + complete
-// bipartite bundles) the two are provably equal. These tests check that
-// equality AT EVERY PROBE on real runs — ring and torus, single-simulator
-// and sharded, pinned to the deleted heap engine's trajectories
-// (tests/pins.h) — with crash-stop and Byzantine
-// faults active so the crashed-exclusion path is exercised for real, plus
-// synthetic-column pins for exclusion and first-violation cursor capture.
+// The monitor and metrics::measure_skews both reduce each probe through
+// the per-cluster clock extremes (metrics/cluster_extremes.h), which is
+// exact only over the augmented graph (intra-cluster cliques + complete
+// bipartite bundles). These tests hold both against the independent
+// edge-by-edge scan of tests/skew_oracle.h AT EVERY PROBE on real runs —
+// ring and torus, single-simulator and sharded, pinned to the deleted
+// heap engine's trajectories (tests/pins.h) — with crash-stop and
+// Byzantine faults active so the crashed-exclusion path is exercised for
+// real, plus synthetic-column pins for exclusion and first-violation
+// cursor capture, and check that the monitor refuses any other graph.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <stdexcept>
 #include <utility>
 #include <vector>
 
@@ -25,6 +27,7 @@
 #include "net/channel.h"
 #include "par/sharded_system.h"
 #include "pins.h"
+#include "skew_oracle.h"
 #include "trace/monitor.h"
 
 namespace ftgcs {
@@ -55,7 +58,8 @@ MonitorBounds loose_bounds() {
 
 /// Drives `system` probe by probe and checks, at every probe, that a fresh
 /// monitor's per-probe maxima equal measure_skews' node-level quantities
-/// exactly, and that the cumulative monitor tracks the running maxima.
+/// and the edge-by-edge oracle's exactly, and that the cumulative monitor
+/// tracks the running maxima.
 /// Returns the offline per-probe samples as exact text (the trajectory).
 template <typename System>
 std::string expect_monitor_matches_offline(System& system,
@@ -79,6 +83,13 @@ std::string expect_monitor_matches_offline(System& system,
     system.run_until(t);
     system.snapshot_columns(columns);
     const metrics::SkewSample offline = metrics::measure_skews(columns, topo);
+    const oracle::EdgeSkews edges = oracle::scan_edges(graph, columns);
+    EXPECT_EQ(offline.node_local, edges.node_local)
+        << label << " probe " << probe;
+    EXPECT_EQ(offline.node_global, edges.node_global)
+        << label << " probe " << probe;
+    EXPECT_EQ(offline.intra_cluster, edges.intra_cluster)
+        << label << " probe " << probe;
     trajectory += pins::exact(offline.node_local) + " " +
                   pins::exact(offline.node_global) + " " +
                   pins::exact(offline.intra_cluster) + "\n";
@@ -261,6 +272,14 @@ TEST(TraceMonitor, FirstViolationCapturesReplayCursor) {
   // Margins: bound − running max; disabled invariants report +inf.
   EXPECT_EQ(monitor.local_margin(), 0.25 - (10.9 - 10.0));
   EXPECT_TRUE(std::isinf(monitor.m_lag_margin()));
+}
+
+TEST(TraceMonitor, RejectsGraphsThatAreNotAugmented) {
+  for (const exp::TopologyGraph& graph : oracle::non_augmented_graphs()) {
+    EXPECT_THROW(InvariantMonitor(graph, loose_bounds()),
+                 std::invalid_argument);
+  }
+  EXPECT_NO_THROW(InvariantMonitor(tiny_graph(), loose_bounds()));
 }
 
 TEST(TraceMonitor, RunPointReportsMatchMetricsAcrossShardsAndHeapPin) {
