@@ -192,6 +192,7 @@ int cmd_run(const std::vector<std::string>& args, bool allow_overrides) {
     }
     if (arg == "--threads") {
       threads = parse_number<int>(arg, next());
+      if (threads < 1) usage(2);
     } else if (arg == "--sink") {
       sink_name = next();
     } else if (arg == "--seeds") {
@@ -267,23 +268,18 @@ int cmd_run(const std::vector<std::string>& args, bool allow_overrides) {
       }
       {
         // Ordering work per fired event: what the drain paid to restore
-        // (time, seq) order (sorted) or to skip it (horizon-scanned).
+        // (time, seq) order.
         const double fired = result.total_events;
         std::printf("queue: buckets=%.0f rung_spawns=%.0f "
                     "overflow_peak=%.0f reseeds=%.0f rewindows=%.0f "
-                    "sorts=%.0f sorted_entries=%.0f horizon_scanned=%.0f "
-                    "sorted_per_event=%.2f scanned_per_event=%.2f\n",
+                    "sorts=%.0f sorted_entries=%.0f sorted_per_event=%.2f\n",
                     result.queue.max_bucket_count, result.queue.rung_spawns,
                     result.queue.max_overflow_peak, result.queue.reseeds,
                     result.queue.rewindows, result.queue.sorts,
-                    result.queue.sorted_entries, result.queue.horizon_scanned,
-                    fired > 0.0 ? result.queue.sorted_entries / fired : 0.0,
-                    fired > 0.0 ? result.queue.horizon_scanned / fired : 0.0);
+                    result.queue.sorted_entries,
+                    fired > 0.0 ? result.queue.sorted_entries / fired : 0.0);
       }
-      std::printf("runs: part_runs=%.0f part_events=%.0f "
-                  "run_events=%.0f\n",
-                  result.queue.unordered_runs, result.queue.unordered_events,
-                  result.queue.ordered_run_events);
+      std::printf("runs: run_events=%.0f\n", result.queue.ordered_run_events);
       {
         // Entry-footprint split: 16 B narrow fire-only deliveries vs 32 B
         // wide entries, plus the 40 B group records that carry the narrow

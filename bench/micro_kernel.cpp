@@ -330,71 +330,11 @@ void BM_NodeTablePulseRun(benchmark::State& state) {
 }
 BENCHMARK(BM_NodeTablePulseRun);
 
-// Time-partitioned drain kernel: EventQueue::pop_run_unordered sweeping
-// whole calendar buckets below the horizon with the real pure-receive
-// predicate over a real system's NodeTable.
-// Items are events drained per second; hold this against the ordered
-// BM_EventEngineFireOnlyLadder pop curve to see what skipping the
-// per-bucket drain sort buys.
-void BM_NodeTablePartitionedDrain(benchmark::State& state) {
-  const core::Params params = core::Params::practical(1e-3, 1.0, 0.01, 1);
-  core::FtGcsSystem::Config config;
-  config.params = params;
-  config.seed = 31;
-  core::FtGcsSystem system(net::Graph::torus(8, 8), std::move(config));
-  system.start();
-  system.run_until(1.0 * params.T);
-  const core::NodeTable& table = system.node_table();
-  const auto& topo = system.topology();
-
-  // Admissible kClusterPulse payloads (managed destinations, adjacent
-  // senders) so the predicate accepts the whole population and the drain
-  // runs bucket sweeps, not barrier stops.
-  std::vector<sim::EventPayload> payloads;
-  for (int dest = 0; dest < topo.num_nodes() && payloads.size() < 4096;
-       ++dest) {
-    for (int sender : system.network().neighbors(dest)) {
-      sim::EventPayload payload;
-      payload.a = sender;
-      payload.c = dest;
-      payload.d =
-          static_cast<std::uint32_t>(net::PulseKind::kClusterPulse);
-      payloads.push_back(payload);
-    }
-  }
-
-  sim::EventQueue queue;
-  queue.reserve(payloads.size());
-  sim::Rng rng(32);
-  constexpr sim::SinkId kSink = 7;
-  const std::uint32_t key =
-      kSink << 8 | static_cast<std::uint32_t>(sim::EventKind::kPulse);
-  std::vector<sim::BatchedEvent> out(sim::Simulator::kMaxRun);
-  std::uint64_t events = 0;
-  for (auto _ : state) {
-    for (const sim::EventPayload& payload : payloads) {
-      queue.schedule_fire_only(rng.next_double(), sim::EventKind::kPulse,
-                               kSink, payload);
-    }
-    std::size_t n;
-    while ((n = queue.pop_run_unordered(2.0, key, &core::NodeTable::pure_pulse,
-                                        &table, out.data(), out.size())) !=
-           0) {
-      benchmark::DoNotOptimize(out.data());
-      events += n;
-    }
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(events));
-  state.counters["events"] = benchmark::Counter(
-      static_cast<double>(events), benchmark::Counter::kIsRate);
-}
-BENCHMARK(BM_NodeTablePartitionedDrain);
-
-// Vectorized receive-lane kernel: NodeTable::on_pulse_run at a full
-// partitioned-tranche length (Simulator::kMaxRun events per call) — the
+// Vectorized receive-lane kernel: NodeTable::on_pulse_run at the full
+// batch-run length (Simulator::kMaxBatch events per call) — the
 // decode/filter, clock-FMA, and lane-commit sweeps over the scratch
-// columns. Complements BM_NodeTablePulseRun, which measures the routing
-// chain on short (256-event) ordered runs. Items are deliveries/second.
+// columns. Complements BM_NodeTablePulseRun, whose arrivals all share one
+// instant. Items are deliveries/second.
 void BM_LaneReceiveVectorized(benchmark::State& state) {
   const core::Params params = core::Params::practical(1e-3, 1.0, 0.01, 1);
   core::FtGcsSystem::Config config;
@@ -407,22 +347,22 @@ void BM_LaneReceiveVectorized(benchmark::State& state) {
   const auto& topo = system.topology();
 
   std::vector<sim::BatchedEvent> run;
-  while (run.size() < sim::Simulator::kMaxRun) {
+  while (run.size() < sim::Simulator::kMaxBatch) {
     const std::size_t before = run.size();
     for (int dest = 0;
-         dest < topo.num_nodes() && run.size() < sim::Simulator::kMaxRun;
+         dest < topo.num_nodes() && run.size() < sim::Simulator::kMaxBatch;
          ++dest) {
       for (int sender : system.network().neighbors(dest)) {
         sim::BatchedEvent event;
         // Spread the arrivals so the FMA pass sees distinct times, as a
-        // real below-horizon tranche does.
+        // real batch run does.
         event.at = now + 1e-7 * static_cast<double>(run.size());
         event.payload.a = sender;
         event.payload.c = dest;
         event.payload.d =
             static_cast<std::uint32_t>(net::PulseKind::kClusterPulse);
         run.push_back(event);
-        if (run.size() == sim::Simulator::kMaxRun) break;
+        if (run.size() == sim::Simulator::kMaxBatch) break;
       }
     }
     if (run.size() == before) break;  // tiny topology: stop wrapping

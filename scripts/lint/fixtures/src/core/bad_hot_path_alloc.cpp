@@ -21,7 +21,7 @@ class Queue {
     scratch_ = copy;
   }
 
-  int pop_run_unordered() {
+  int pop_run_batch() {
     void* raw = std::malloc(64);                // EXPECT-LINT: no-hot-path-alloc
     std::free(raw);
     return 0;

@@ -78,18 +78,6 @@ class LogicalTimerSet final : public sim::EventSink {
 
   std::size_t armed_count() const { return armed_count_; }
 
-  /// Earliest armed logical target, kTimeInfinity when none: this timer
-  /// family's contribution to the time-partition horizon (the next
-  /// schedule-capable instant of the owning protocol object). O(kMaxKeys)
-  /// over the inline array — cheap enough to poll per partition.
-  double next_deadline() const {
-    double best = sim::kTimeInfinity;
-    for (const Pending& p : pending_) {
-      if (p.armed && p.target < best) best = p.target;
-    }
-    return best;
-  }
-
   /// EventSink: kTimer events carry the key in payload.a.
   void on_event(sim::EventKind kind, const sim::EventPayload& payload,
                 sim::Time now) override;

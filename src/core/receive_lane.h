@@ -60,11 +60,12 @@ inline double lane_arrival_value(const ReceiveLane& lane, sim::Time now) {
 /// evaluation into its own array sweep and still execute the exact same
 /// commit.
 ///
-/// ORDER INDEPENDENCE (the partitioned drain's proof obligation — see
-/// Simulator::set_batch_channel): between two barrier events, `listening`,
+/// ORDER INDEPENDENCE: batch runs arrive in exact (time, seq) order
+/// (Simulator::set_batch_channel), and the commit does not depend on that
+/// order anyway, so no caller has to prove it. Within a run, `listening`,
 /// `own_index`, and the clock mirror are constant (they mutate only in
 /// slotted timer/closure processing, which breaks every run), so each
-/// receive in a tranche commutes with the others:
+/// receive in a run commutes with the others:
 ///   * dropped counts receives with listening == 0 — order-free;
 ///   * the slot min-combines: the arrival value is monotone non-decreasing
 ///     in the event time (rate ≥ 0), so the minimum over any permutation

@@ -116,15 +116,12 @@ RunResult::QueueTiers queue_tiers(const sim::EventQueue::TierStats& stats) {
   tiers.rung_spawns = static_cast<double>(stats.rung_spawns);
   tiers.overflow_peak = static_cast<double>(stats.overflow_peak);
   tiers.reseeds = static_cast<double>(stats.reseeds);
-  tiers.unordered_runs = static_cast<double>(stats.unordered_runs);
-  tiers.unordered_events = static_cast<double>(stats.unordered_events);
   tiers.ordered_run_events = static_cast<double>(stats.ordered_run_events);
   tiers.narrow_events = static_cast<double>(stats.narrow_events);
   tiers.wide_events = static_cast<double>(stats.wide_events);
   tiers.group_inserts = static_cast<double>(stats.group_inserts);
   tiers.sorts = static_cast<double>(stats.sorts);
   tiers.sorted_entries = static_cast<double>(stats.sorted_entries);
-  tiers.horizon_scanned = static_cast<double>(stats.horizon_scanned);
   tiers.rewindows = static_cast<double>(stats.rewindows);
   return tiers;
 }

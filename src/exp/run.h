@@ -73,21 +73,16 @@ struct RunResult {
     double rung_spawns = 0.0;    ///< overflowing buckets split on drain
     double overflow_peak = 0.0;  ///< overflow-tier occupancy high-water mark
     double reseeds = 0.0;        ///< windows rebuilt from the overflow tier
-    // Batch-channel run lengths: events drained in sorted batch runs vs
-    // through the time-partitioned (unordered, below-horizon) drain.
-    double unordered_runs = 0.0;    ///< partitioned drains that emitted
-    double unordered_events = 0.0;  ///< events drained below the horizon
-    double ordered_run_events = 0.0;  ///< events drained in sorted runs
+    // Batch-channel run length: events drained in sorted batch runs.
+    double ordered_run_events = 0.0;
     // Bytes-per-event split (EventQueue narrow delivery lane).
     double narrow_events = 0.0;   ///< 16 B narrow deliveries scheduled
     double wide_events = 0.0;     ///< 32 B entries scheduled
     double group_inserts = 0.0;   ///< coalesced fan-out groups created
     // Ordering work (EventQueue::TierStats): drain sorts, the entries they
-    // sorted, partitioned-drain horizon classifications, and hot-head
-    // window rebuilds.
+    // sorted, and hot-head window rebuilds.
     double sorts = 0.0;
     double sorted_entries = 0.0;
-    double horizon_scanned = 0.0;
     double rewindows = 0.0;
   };
   QueueTiers queue;

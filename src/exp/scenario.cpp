@@ -121,6 +121,14 @@ void TopologySpec::set_clusters(int n) {
 // ---- ParamsSpec -------------------------------------------------------------
 
 core::Params ParamsSpec::build() const {
+  if (U > d) {
+    // The delay uncertainty is part of the delay; checked here, where U
+    // and d (possibly set by two axes in either order) are both final.
+    char buf[128];
+    std::snprintf(buf, sizeof buf, "U = %g exceeds the maximum delay d = %g",
+                  U, d);
+    throw std::invalid_argument(buf);
+  }
   core::Params result;
   switch (preset) {
     case Preset::kPractical:
@@ -194,6 +202,20 @@ void apply_axis(ScenarioSpec& spec, const std::string& name, double value) {
     }
     return static_cast<int>(value);
   };
+  // Real axes take only finite values in [lo, hi] — or (lo, hi] when
+  // `open_lo`, for quantities that must be strictly positive.
+  const auto as_real = [&](double lo, double hi, bool open_lo = false) {
+    if (!std::isfinite(value) || value < lo || (open_lo && value == lo) ||
+        value > hi) {
+      char buf[128];
+      std::snprintf(buf, sizeof buf,
+                    "%g: expected a finite number in %c%g, %g%c", value,
+                    open_lo ? '(' : '[', lo, hi, std::isinf(hi) ? ')' : ']');
+      throw std::invalid_argument("sweep axis '" + name + "' = " + buf);
+    }
+    return value;
+  };
+  constexpr double kInf = std::numeric_limits<double>::infinity();
   if (name == "diameter") {
     spec.topology.set_diameter(as_int(1));
   } else if (name == "clusters") {
@@ -203,7 +225,7 @@ void apply_axis(ScenarioSpec& spec, const std::string& name, double value) {
     spec.ramp.gap_rounds = as_int(0);
   } else if (name == "gap_kappa") {
     spec.ramp = {};
-    spec.ramp.gap_kappa = value;
+    spec.ramp.gap_kappa = as_real(0.0, kInf);
   } else if (name == "f") {
     spec.params.f = as_int(0);
   } else if (name == "cluster_size") {
@@ -216,22 +238,22 @@ void apply_axis(ScenarioSpec& spec, const std::string& name, double value) {
   } else if (name == "attacked") {
     spec.faults.enabled = value != 0.0;
   } else if (name == "rho") {
-    spec.params.rho = value;
+    spec.params.rho = as_real(0.0, kInf, /*open_lo=*/true);
   } else if (name == "d") {
-    spec.params.d = value;
+    spec.params.d = as_real(0.0, kInf, /*open_lo=*/true);
   } else if (name == "U") {
-    spec.params.U = value;
+    spec.params.U = as_real(0.0, kInf);
   } else if (name == "mu") {
-    spec.params.mu = value;
+    spec.params.mu = as_real(0.0, kInf);
   } else if (name == "phi") {
-    spec.params.phi = value;
+    spec.params.phi = as_real(0.0, kInf);
   } else if (name == "horizon_rounds") {
     spec.horizon = {};
-    spec.horizon.base_rounds = value;
+    spec.horizon.base_rounds = as_real(0.0, kInf, /*open_lo=*/true);
   } else if (name == "flip_rounds") {
-    spec.drift.flip_rounds = value;
+    spec.drift.flip_rounds = as_real(0.0, kInf);
   } else if (name == "probability") {
-    spec.faults.probability = value;
+    spec.faults.probability = as_real(0.0, 1.0);
   } else if (name == "shards") {
     spec.shards = as_int(1);
   } else if (name == "fault_mode") {

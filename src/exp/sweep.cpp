@@ -160,15 +160,12 @@ SweepResult SweepRunner::run(const ScenarioSpec& spec) const {
     sweep.queue.max_overflow_peak =
         std::max(sweep.queue.max_overflow_peak, tiers.overflow_peak);
     sweep.queue.reseeds += tiers.reseeds;
-    sweep.queue.unordered_runs += tiers.unordered_runs;
-    sweep.queue.unordered_events += tiers.unordered_events;
     sweep.queue.ordered_run_events += tiers.ordered_run_events;
     sweep.queue.narrow_events += tiers.narrow_events;
     sweep.queue.wide_events += tiers.wide_events;
     sweep.queue.group_inserts += tiers.group_inserts;
     sweep.queue.sorts += tiers.sorts;
     sweep.queue.sorted_entries += tiers.sorted_entries;
-    sweep.queue.horizon_scanned += tiers.horizon_scanned;
     sweep.queue.rewindows += tiers.rewindows;
     const RunResult::ShardDiag& shard = results[i].shard;
     if (shard.shards > 0.0) {

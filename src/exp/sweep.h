@@ -52,12 +52,8 @@ struct SweepResult {
     double rung_spawns = 0.0;
     double max_overflow_peak = 0.0;
     double reseeds = 0.0;
-    // Batch-channel run lengths, summed over tasks (and shards within a
-    // sharded task): how much fired traffic bypassed per-event dispatch
-    // (ordered_run_events) and how much of that additionally bypassed the
-    // drain sort via the time-partitioned drain (unordered_events).
-    double unordered_runs = 0.0;
-    double unordered_events = 0.0;
+    // Batch-channel run length, summed over tasks (and shards within a
+    // sharded task): how much fired traffic bypassed per-event dispatch.
     double ordered_run_events = 0.0;
     // Bytes-per-event split, summed over tasks: how many scheduled
     // deliveries took the 16 B narrow fast-path lane vs the 32 B wide
@@ -66,10 +62,9 @@ struct SweepResult {
     double wide_events = 0.0;
     double group_inserts = 0.0;
     // Ordering work, summed over tasks: drain sorts and the entries they
-    // sorted, horizon-scan classifications, hot-head window rebuilds.
+    // sorted, hot-head window rebuilds.
     double sorts = 0.0;
     double sorted_entries = 0.0;
-    double horizon_scanned = 0.0;
     double rewindows = 0.0;
   };
   QueueTierTotals queue;

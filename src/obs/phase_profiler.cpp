@@ -104,8 +104,6 @@ void PhaseProfiler::probe_diag(double at,
   append_json_u64(line_, tiers.group_inserts);
   line_ += ",\"entry_bytes\":";
   append_json_u64(line_, tiers.entry_bytes());
-  line_ += ",\"unordered\":";
-  append_json_u64(line_, tiers.unordered_events);
   line_ += ",\"ordered_runs\":";
   append_json_u64(line_, tiers.ordered_run_events);
   line_ += ",\"buckets\":";

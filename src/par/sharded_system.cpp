@@ -306,15 +306,12 @@ sim::EventQueue::TierStats ShardedFtGcsSystem::queue_stats() const {
     stats.overflow_peak = std::max(stats.overflow_peak, tier.overflow_peak);
     stats.overflow_pushes += tier.overflow_pushes;
     stats.reseeds += tier.reseeds;
-    stats.unordered_runs += tier.unordered_runs;
-    stats.unordered_events += tier.unordered_events;
     stats.ordered_run_events += tier.ordered_run_events;
     stats.narrow_events += tier.narrow_events;
     stats.wide_events += tier.wide_events;
     stats.group_inserts += tier.group_inserts;
     stats.sorts += tier.sorts;
     stats.sorted_entries += tier.sorted_entries;
-    stats.horizon_scanned += tier.horizon_scanned;
     stats.rewindows += tier.rewindows;
   }
   return stats;

@@ -126,10 +126,8 @@ void EventQueue::bucket_insert(Bucket& bucket, bool rung, std::size_t index,
   bucket.items.push_back(entry);
   // If this is the drain head, the next pop re-sorts the remaining wide
   // span (the untouched narrow lane keeps its flag); for a not-yet-reached
-  // bucket the flag is false already. The inserted entry may be
-  // non-drainable, so the horizon-scan cache drops with it.
+  // bucket the flag is false already.
   bucket.sorted_wide = false;
-  bucket.scan_valid = false;
   if (rung) {
     ++rung_live_;
   } else {
@@ -187,7 +185,6 @@ void EventQueue::insert_narrow(const NarrowEntry& entry) {
   }
   bucket->narrow.push_back(entry);
   bucket->sorted_narrow = false;  // the wide lane is untouched
-  bucket->scan_valid = false;
   if (rung) {
     ++rung_live_;
   } else {
@@ -271,7 +268,6 @@ void EventQueue::remove_resident(std::uint32_t slot) {
     }
   }
   bucket.sorted_wide = false;  // a swap-remove breaks the wide drain order
-  bucket.scan_valid = false;
   if (rung) {
     --rung_live_;
   } else {
@@ -288,7 +284,7 @@ void EventQueue::sort_bucket(Bucket& bucket) {
   // drain bucket is ever sorted, so the case is rare and the scan short).
   // Lanes sort independently: a clean lane (common when only the delivery
   // band's narrow inserts dirtied the head) keeps its existing order —
-  // pops and the unordered compaction both preserve it.
+  // pops preserve it.
   ++stats_.sorts;
   if (!bucket.sorted_wide) {
     std::sort(bucket.items.begin(), bucket.items.end(),
@@ -337,7 +333,6 @@ void EventQueue::spawn_rung(Bucket& bucket) {
     }
     target.items.push_back(e);
     target.sorted_wide = false;
-    target.scan_valid = false;
   }
   for (const NarrowEntry& e : bucket.narrow) {
     const std::size_t sub = clamp_bucket_index(
@@ -345,7 +340,6 @@ void EventQueue::spawn_rung(Bucket& bucket) {
     Bucket& target = rung_[sub];  // narrow entries have no position word
     target.narrow.push_back(e);
     target.sorted_narrow = false;
-    target.scan_valid = false;
   }
   rung_live_ += n;
   wheel_live_ -= n;
@@ -353,7 +347,6 @@ void EventQueue::spawn_rung(Bucket& bucket) {
   bucket.narrow.clear();
   bucket.sorted_wide = false;
   bucket.sorted_narrow = false;
-  bucket.scan_valid = false;
   rung_cur_ = 0;
   rung_active_ = true;
   ++stats_.rung_spawns;
@@ -417,7 +410,6 @@ void EventQueue::reseed() {
     }
     target.items.push_back(e);
     target.sorted_wide = false;
-    target.scan_valid = false;
   }
   bag_.resize(keep);
   std::size_t keep_narrow = 0;
@@ -431,7 +423,6 @@ void EventQueue::reseed() {
     Bucket& target = wheel_[index];
     target.narrow.push_back(e);
     target.sorted_narrow = false;
-    target.scan_valid = false;
   }
   bag_narrow_.resize(keep_narrow);
   wheel_live_ = n - keep - keep_narrow;
@@ -486,7 +477,6 @@ void EventQueue::rewindow(double width) {
     bucket.narrow.clear();
     bucket.sorted_wide = false;
     bucket.sorted_narrow = false;
-    bucket.scan_valid = false;
   }
   wheel_live_ = 0;
   wheel_cur_ = wheel_nb_;
@@ -675,7 +665,6 @@ bool EventQueue::reschedule(EventId id, Time t) {
         bucket.items[idx].at = t;
         bucket.items[idx].key = key;
         bucket.sorted_wide = false;
-        bucket.scan_valid = false;
         return true;
       }
     }
@@ -686,227 +675,6 @@ bool EventQueue::reschedule(EventId id, Time t) {
   entry.key = key;
   insert_ladder(entry);
   return true;
-}
-
-std::size_t EventQueue::pop_run_unordered(Time t_end, std::uint32_t sink_kind,
-                                          BatchPredicate pred, const void* ctx,
-                                          BatchedEvent* out, std::size_t max) {
-  std::size_t n = 0;
-  // Running partition horizon: the earliest non-drainable entry seen so
-  // far. Emission is STRICT (`at < bad_lim`): ties with a barrier keep
-  // their (time, seq) interleaving on the ordered path, so only events
-  // whose relative order is provably unobservable are reordered.
-  Time bad_lim = kTimeInfinity;
-
-  // Sweeps one bucket: refreshes its horizon scan if stale, emits every
-  // drainable entry strictly below min(horizon, t_end), and compacts the
-  // survivors in place (rewriting their positions — unlike the drain
-  // sort, compaction moves entries that may later be cancelled or
-  // re-aimed). Returns false when the sweep must stop: a sorted
-  // (partially drained) head bucket, or the out buffer filled.
-  const auto drain_bucket = [&](Bucket& bucket, bool rung,
-                                std::size_t index) -> bool {
-    std::vector<Entry>& items = bucket.items;
-    std::vector<NarrowEntry>& narrow = bucket.narrow;
-    if (items.empty() && narrow.empty()) return true;
-    if (bucket_sorted(bucket)) {
-      // A partially drained head belongs to the ordered path (its pops
-      // are in flight); its minimum is the earlier of the two lanes' back
-      // entries, and every later bucket sits at or above this bucket's
-      // range — stop here.
-      Time head = kTimeInfinity;
-      if (!items.empty()) head = std::min(head, items.back().at);
-      if (!narrow.empty()) head = std::min(head, narrow.back().at);
-      bad_lim = std::min(bad_lim, head);
-      return false;
-    }
-    bool decoded = false;  // this call's scan filled unordered_decode_
-    if (!bucket.scan_valid) {
-      // Pass 1 — horizon scan: the earliest entry that must NOT be
-      // reordered. Slotted entries carry sink_kind 0 (never a real
-      // channel), so timers/closures/cancellables are caught by the same
-      // compare as foreign-channel traffic. The drainable minimum rides
-      // along as the repeat-sweep guard below. Narrow decodes (a group
-      // record plus a random adjacency read each) are kept for pass 2 —
-      // any entry this scan admits, the emit below reuses verbatim.
-      Time bad = kTimeInfinity;
-      Time good = kTimeInfinity;
-      EventPayload pl;
-      for (const Entry& e : items) {
-        if (e.sink_kind == sink_kind) {
-          pl.a = e.a;
-          pl.b = e.b;
-          pl.c = e.c;
-          pl.d = e.inline_d();
-          if (pred(pl, ctx)) {
-            good = std::min(good, e.at);
-            continue;
-          }
-        }
-        bad = std::min(bad, e.at);
-      }
-      const std::size_t mn0 = narrow.size();
-      if (unordered_decode_.size() < mn0) unordered_decode_.resize(mn0);
-      for (std::size_t i = 0; i < mn0; ++i) {
-        const NarrowEntry& e = narrow[i];
-        if (narrow_sink_kind(e) == sink_kind) {
-          narrow_payload(e, unordered_decode_[i]);
-          if (pred(unordered_decode_[i], ctx)) {
-            good = std::min(good, e.at);
-            continue;
-          }
-        }
-        bad = std::min(bad, e.at);
-      }
-      decoded = true;
-      stats_.horizon_scanned += items.size() + mn0;
-      bucket.bad_floor = bad;
-      bucket.good_floor = good;
-      bucket.scan_valid = true;
-    }
-    const Time lim = std::min(bad_lim, bucket.bad_floor);
-    if (bucket.good_floor >= lim || bucket.good_floor > t_end) {
-      // Nothing drainable below the horizon: O(1) skip on repeat sweeps
-      // (the common shape while the ordered path works toward a barrier).
-      bad_lim = std::min(bad_lim, bucket.bad_floor);
-      return true;
-    }
-    // Pass 2 — emit + compact, one lane at a time (emission is unordered,
-    // so lane interleaving is free). `lim ≤ bad_floor`, so `at < lim`
-    // admits only drainable entries: no predicate re-evaluation here.
-    const std::size_t m = items.size();
-    std::size_t w = 0;
-    std::size_t r = 0;
-    for (; r < m; ++r) {
-      const Entry& e = items[r];
-      if (e.at < lim && e.at <= t_end) {
-        if (n == max) break;  // buffer full: keep the tail
-        BatchedEvent& slot = out[n++];
-        slot.at = e.at;
-        slot.payload.a = e.a;
-        slot.payload.b = e.b;
-        slot.payload.c = e.c;
-        slot.payload.d = e.inline_d();
-        slot.payload.x = 0.0;
-        continue;
-      }
-      if (w != r) {
-        items[w] = e;
-        if (!e.is_inline()) {
-          positions_[e.slot()] = encode_bucket_pos(rung, index, w);
-        }
-      }
-      ++w;
-    }
-    for (; r < m; ++r) {  // buffer-full tail: compact without emitting
-      if (w != r) {
-        items[w] = items[r];
-        if (!items[w].is_inline()) {
-          positions_[items[w].slot()] = encode_bucket_pos(rung, index, w);
-        }
-      }
-      ++w;
-    }
-    std::size_t took = m - w;
-    if (m != w) items.resize(w);  // Entry is trivially destructible
-    // Narrow lane: the same emit + compact, minus the positions rewrite
-    // (narrow entries are never cancellable) plus the group retire.
-    const std::size_t mn = narrow.size();
-    std::size_t wn = 0;
-    std::size_t rn = 0;
-    for (; rn < mn; ++rn) {
-      const NarrowEntry& e = narrow[rn];
-      if (e.at < lim && e.at <= t_end) {
-        if (n == max) break;
-        BatchedEvent& slot = out[n++];
-        slot.at = e.at;
-        // Everything below lim passed the scan's predicate, so a scan run
-        // by THIS call already decoded it (same index — the lane has not
-        // been compacted in between). A cached scan means decoding here.
-        if (decoded) {
-          slot.payload = unordered_decode_[rn];
-        } else {
-          narrow_payload(e, slot.payload);
-        }
-        narrow_retire(e.key);
-        continue;
-      }
-      if (wn != rn) narrow[wn] = e;
-      ++wn;
-    }
-    for (; rn < mn; ++rn) {
-      if (wn != rn) narrow[wn] = narrow[rn];
-      ++wn;
-    }
-    took += mn - wn;
-    if (mn != wn) narrow.resize(wn);
-    if (took != 0) {
-      if (rung) {
-        rung_live_ -= took;
-      } else {
-        wheel_live_ -= took;
-      }
-    }
-    if (n != max) {
-      // Full pass: every drainable entry below min(lim, t_end) was
-      // emitted, so the survivors sit at or above that. (On a buffer-full
-      // break the old bound is still valid — just looser.)
-      bucket.good_floor = std::min(lim, t_end);
-    }
-    bad_lim = std::min(bad_lim, bucket.bad_floor);
-    return n != max;
-  };
-
-  // Sweep buckets in calendar order from the current drain position.
-  // Bucket b's lower time bound prunes the sweep: entries of every bucket
-  // except the drain head itself sit at or above their bucket's origin
-  // (inserts floor the offset; only the drain bucket takes low-clamped
-  // stragglers), so once a bucket origin reaches min(horizon, t_end)
-  // nothing further can be emitted. A non-infinite horizon therefore
-  // stops the sweep within one bucket of the barrier — the "sliver" the
-  // ordered path still sorts.
-  for (;;) {
-    if (wheel_live_ + rung_live_ == 0) {
-      // Window drained with no barrier found: rebuild it from the
-      // overflow tier, exactly as prepare_head would, and keep sweeping.
-      if (bag_.empty() && bag_narrow_.empty()) break;
-      reseed();
-    }
-    bool cont = true;
-    if (rung_active_) {
-      for (std::size_t s = rung_cur_; cont && s < rung_nb_; ++s) {
-        if (s != rung_cur_) {
-          const Time lb =
-              rung_start_ + static_cast<double>(s) * rung_width_;
-          if (lb > t_end || lb >= bad_lim) {
-            cont = false;
-            break;
-          }
-        }
-        cont = drain_bucket(rung_[s], /*rung=*/true, s);
-      }
-      for (std::size_t b = wheel_cur_ + 1; cont && b < wheel_nb_; ++b) {
-        const Time lb = win_start_ + static_cast<double>(b) * bucket_width_;
-        if (lb > t_end || lb >= bad_lim) break;
-        cont = drain_bucket(wheel_[b], /*rung=*/false, b);
-      }
-    } else {
-      for (std::size_t b = wheel_cur_; cont && b < wheel_nb_; ++b) {
-        if (b != wheel_cur_) {
-          const Time lb =
-              win_start_ + static_cast<double>(b) * bucket_width_;
-          if (lb > t_end || lb >= bad_lim) break;
-        }
-        cont = drain_bucket(wheel_[b], /*rung=*/false, b);
-      }
-    }
-    if (!cont || wheel_live_ + rung_live_ != 0) break;
-  }
-  if (n != 0) {
-    ++stats_.unordered_runs;
-    stats_.unordered_events += n;
-  }
-  return n;
 }
 
 EventQueue::Fired EventQueue::pop() {

@@ -174,34 +174,18 @@ class EventQueue {
   bool pop_if_at_most(Time t_end, Fired& out);
 
   /// Batch drain: pops the maximal run (≤ `max`) of consecutive earliest
-  /// events at time ≤ `t_end` that belong to the batch channel — typed
+  /// events at time ≤ `t_end` that belong to the batch channel — fire-only
   /// events whose packed (sink << 8 | kind) equals `sink_kind` and whose
   /// payload `pred(payload, ctx)` accepts — into `out`, in exact (time,
-  /// seq) pop order. Stops at the first non-matching head, so an
-  /// interleaved timer or cancellable event keeps its place. Returns the
-  /// run length (0 when the head does not match). Safe only when the
-  /// receiver's processing of a matching event schedules nothing (see
-  /// Simulator::set_batch_channel for the contract).
+  /// seq) pop order. Slotted entries (cancellable events, and fire-only
+  /// payloads with x ≠ 0) never match. Stops at the first non-matching
+  /// head, so an interleaved timer or cancellable event keeps its place.
+  /// Returns the run length (0 when the head does not match). Safe only
+  /// when the receiver's processing of a matching event schedules nothing
+  /// (see Simulator::set_batch_channel for the contract).
   std::size_t pop_run(Time t_end, std::uint32_t sink_kind,
                       BatchPredicate pred, const void* ctx, BatchedEvent* out,
                       std::size_t max);
-
-  /// Time-partitioned unordered drain. Pops channel events that lie
-  /// STRICTLY below the partition horizon — the earliest live event that
-  /// is not a drainable channel event (a slotted timer/closure/cancellable
-  /// entry, or a pred-rejected delivery) — without restoring (time, seq)
-  /// order first: buckets are swept in calendar order and compacted in
-  /// place, so the per-bucket drain sort is paid only for the
-  /// horizon-adjacent sliver that still fires through pop()/pop_run().
-  /// Emitted items are NOT sorted; callers must require order-independent
-  /// receivers (see Simulator::set_batch_channel — the batch contract plus
-  /// two partition obligations: processing must commute within a run, and
-  /// the predicate must be MONOTONE, i.e. once it accepts a payload it
-  /// accepts it forever — that is what keeps each bucket's cached horizon
-  /// scan (Bucket::bad_floor) conservative between calls).
-  std::size_t pop_run_unordered(Time t_end, std::uint32_t sink_kind,
-                                BatchPredicate pred, const void* ctx,
-                                BatchedEvent* out, std::size_t max);
 
   /// Total events ever scheduled (for stats / microbenchmarks).
   /// Reschedules consume sequence numbers (they re-enter the FIFO order),
@@ -239,12 +223,12 @@ class EventQueue {
     std::size_t overflow_peak = 0;  ///< overflow-tier occupancy high-water mark
     std::uint64_t overflow_pushes = 0;  ///< events routed via the overflow tier
     std::uint64_t reseeds = 0;      ///< windows rebuilt from the overflow tier
-    // Batch-channel run lengths (see pop_run / pop_run_unordered): how much
-    // of the fired traffic bypassed per-event dispatch, and how much of
-    // that additionally bypassed the drain sort entirely.
-    std::uint64_t unordered_runs = 0;    ///< partitioned drains that emitted
-    std::uint64_t unordered_events = 0;  ///< events drained below the horizon
+    // Batch-channel run length (see pop_run): how much of the fired
+    // traffic bypassed per-event dispatch.
     std::uint64_t ordered_run_events = 0;  ///< events drained in sorted runs
+    /// Always 0: batch runs drain only in (time, seq) order. Kept because
+    /// the benchmark harness (perfbench/src/replay.cpp) still reads it.
+    std::uint64_t unordered_events = 0;
     // Bytes-per-event split (see schedule_fire_only_group): how much of the
     // scheduled traffic rode the narrow 16-byte delivery lane vs the wide
     // 32-byte entries (inline fire-only + slotted), and how many pooled
@@ -252,13 +236,11 @@ class EventQueue {
     std::uint64_t narrow_events = 0;   ///< 16 B narrow deliveries scheduled
     std::uint64_t wide_events = 0;     ///< 32 B entries scheduled
     std::uint64_t group_inserts = 0;   ///< coalesced fan-out groups created
-    // Ordering work: what the drain paid to restore or skip (time, seq)
-    // order. Per fired event, these are the queue layer's cost in the
-    // sparse regime, where one hot head bucket absorbs the inserts.
-    std::uint64_t sorts = 0;            ///< drain sorts of a bucket
-    std::uint64_t sorted_entries = 0;   ///< entries in the lanes they sorted
-    std::uint64_t horizon_scanned = 0;  ///< entries classified by the
-                                        ///< partitioned drain's horizon scan
+    // Ordering work: what the drain paid to restore (time, seq) order. Per
+    // fired event, this is the queue layer's cost in the sparse regime,
+    // where one hot head bucket absorbs the inserts.
+    std::uint64_t sorts = 0;           ///< drain sorts of a bucket
+    std::uint64_t sorted_entries = 0;  ///< entries in the lanes they sorted
     std::uint64_t rewindows = 0;  ///< windows rebuilt for a hot head bucket
 
     /// Entry bytes written at schedule time (16 B narrow + 32 B wide +
@@ -353,14 +335,6 @@ class EventQueue {
   /// DESCENDING (time, seq) order when it becomes the drain head, so pops
   /// are pop_back and the live span is always exactly `items` + `narrow`
   /// (two lanes, merged on pop by the shared comparator).
-  ///
-  /// `bad_floor`/`scan_valid` cache the partitioned drain's horizon scan:
-  /// the earliest entry that CANNOT be drained unordered (slotted, or
-  /// pred-rejected — see pop_run_unordered). Every mutation that can add
-  /// such an entry clears `scan_valid` alongside `sorted`; removing
-  /// drainable entries (the partitioned compaction itself) keeps it, and a
-  /// monotone predicate keeps a stale floor conservative (too low, never
-  /// too high) — so the scan is paid once per bucket filling, not per call.
   struct Bucket {
     std::vector<Entry> items;
     std::vector<NarrowEntry> narrow;  ///< 16 B delivery lane (see NarrowEntry)
@@ -369,14 +343,9 @@ class EventQueue {
     /// without touching the (already ordered) wide lane — at 40k nodes the
     /// delivery band lands thousands of narrow inserts per drain bucket
     /// and a shared flag made the wide introsort the top profile entry.
-    /// Pops and compaction preserve order, so a set flag survives them.
+    /// Pops preserve order, so a set flag survives them.
     bool sorted_wide = false;
     bool sorted_narrow = false;
-    bool scan_valid = false;  ///< the two floors reflect the current items
-    Time bad_floor = 0.0;   ///< min time of a non-drainable entry (+inf: none)
-    Time good_floor = 0.0;  ///< lower bound on drainable entries' times —
-                            ///< lets a repeat sweep skip the whole bucket
-                            ///< in O(1) when the horizon has not moved
   };
   static bool bucket_empty(const Bucket& b) {
     return b.items.empty() && b.narrow.empty();
@@ -445,11 +414,10 @@ class EventQueue {
   static constexpr std::size_t kRungFanout = 16;
   static constexpr std::size_t kMaxRungBuckets = 4096;
   /// Hot-head trigger (see hot_head_width): the window is rebuilt around
-  /// the head's own density once ordering work — entries sorted plus
-  /// entries horizon-scanned — exceeds kHotWork per fired event since the
-  /// last reseed. Measured at every trigger evaluation (EXPERIMENTS.md,
-  /// "Sparse regime"): at most 4.2 on the tori and the E1 grid, 33 on the
-  /// paper-strict pair.
+  /// the head's own density once ordering work — entries sorted — exceeds
+  /// kHotWork per fired event since the last reseed. Measured at every
+  /// trigger evaluation (EXPERIMENTS.md, "Sparse regime"): at most 4.2 on
+  /// the tori and the E1 grid, 33 on the paper-strict pair.
   static constexpr std::uint64_t kHotWork = 8;
   /// Fired events a window must have served before its ratio is trusted
   /// (at least this many, and at least as many as the reseed moved in):
@@ -537,11 +505,9 @@ class EventQueue {
   /// `width` for the following reseeds.
   void rewindow(double width);
   std::uint64_t fired_count() const {
-    return pops_ + stats_.ordered_run_events + stats_.unordered_events;
+    return pops_ + stats_.ordered_run_events;
   }
-  std::uint64_t ordering_work() const {
-    return stats_.sorted_entries + stats_.horizon_scanned;
-  }
+  std::uint64_t ordering_work() const { return stats_.sorted_entries; }
 
   std::vector<Slot> slots_;
   std::vector<Callback> fns_;  ///< parallel to slots_; closure events only
@@ -593,11 +559,6 @@ class EventQueue {
   /// rung spawn — the backing vectors may reallocate there), so a sorted
   /// non-empty cached bucket is always the true head.
   Bucket* head_cache_ = nullptr;
-
-  /// pop_run_unordered scratch: payloads decoded during a bucket's horizon
-  /// scan, reused verbatim by the same call's emit pass so each narrow
-  /// entry's group record + destination read happens once, not twice.
-  std::vector<EventPayload> unordered_decode_;
 
   TierStats stats_;
 };

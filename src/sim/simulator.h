@@ -51,18 +51,9 @@ class Simulator {
   /// events, and must not read now() (batch items each carry their own
   /// fire time). Any event violating that must be rejected by `pred`; the
   /// run then breaks before it and it fires through the ordinary path,
-  /// preserving exact interleaving.
-  ///
-  /// The run loop additionally drains accepted events by TIME PARTITION
-  /// (EventQueue::pop_run_unordered): everything strictly below the next
-  /// non-channel event fires in one unordered tranche, skipping the
-  /// per-bucket drain sort. That adds two obligations on top of the
-  /// contract above: processing accepted events must COMMUTE within a
-  /// tranche (the receiver's end state and counters must not depend on the
-  /// order of accepted events between two barrier events — see
-  /// core/receive_lane.h for the proof obligation this discharges), and
-  /// `pred` must be MONOTONE — once it accepts a payload it accepts it
-  /// forever (classification may only widen over a run).
+  /// preserving exact interleaving. Runs are drained in exact (time, seq)
+  /// order (EventQueue::pop_run), so a batch sees its events in the order
+  /// single pops would have fired them.
   void set_batch_channel(SinkId sink, EventKind kind, BatchPredicate pred,
                          const void* ctx);
 
@@ -140,26 +131,17 @@ class Simulator {
     return queue_.tier_stats();
   }
 
-  /// Time of the earliest pending event (kTimeInfinity when idle): the
-  /// partition horizon seen from outside the queue. O(1) amortized; it may
-  /// sort the current drain bucket.
-  Time next_event_time() const { return queue_.next_time(); }
-
   /// Simulator-owned scratch columns for batch-channel receivers, sized to
-  /// the partitioned tranche (kMaxRun) up front so receivers never
+  /// the longest batch run (kMaxBatch) up front so receivers never
   /// allocate per run. Shared: there is at most one batch channel, and its
   /// runs are processed one at a time.
   BatchScratch& batch_scratch() { return scratch_; }
 
   /// Ordered batch runs are bounded so the drain buffer stays
   /// cache-resident and a long pulse train still yields to the run loop's
-  /// t_end check promptly.
+  /// t_end check promptly. Public so batch receivers and benches can size
+  /// buffers to match.
   static constexpr std::size_t kMaxBatch = 256;
-  /// Partitioned (unordered) tranches are larger: each one amortizes a
-  /// full calendar sweep, and the queue enforces t_end in-sweep, so the
-  /// only bound needed is the working-set size (32 B/event → 64 KiB).
-  /// Public so batch receivers and benches can size buffers to match.
-  static constexpr std::size_t kMaxRun = 2048;
 
  private:
   void dispatch(EventQueue::Fired& fired);
@@ -176,7 +158,6 @@ class Simulator {
   EventKind batch_kind_ = EventKind::kPulse;
   std::uint32_t batch_key_ = 0;  ///< packed sink << 8 | kind
   std::vector<BatchedEvent> batch_buf_;  ///< ordered runs (kMaxBatch)
-  std::vector<BatchedEvent> run_buf_;    ///< partitioned tranches (kMaxRun)
   BatchScratch scratch_;                 ///< receiver scratch (see accessor)
 };
 

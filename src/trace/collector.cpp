@@ -56,11 +56,10 @@ void TraceCollector::commit() {
   }
   // The full-key sort canonicalizes the stream so the bytes depend on
   // neither the shard interleaving nor the capture order within a probe
-  // window: shard buffers arrive in fire order, which since the
-  // partitioned drain is only (time, seq)-sorted between barriers — the
-  // unordered tranches land here in calendar-sweep order. Both collapse to
-  // the same bytes under the canonical (time, sender, dest, kind, level,
-  // value) key; key ties are whole-record ties (see trace/format.h).
+  // window: each shard buffer is in its own shard's fire order, and the
+  // buffers are concatenated shard by shard. Both collapse to the same
+  // bytes under the canonical (time, sender, dest, kind, level, value)
+  // key; key ties are whole-record ties (see trace/format.h).
   std::sort(merge_scratch_.begin(), merge_scratch_.end(), record_key_less);
   for (const Record& record : merge_scratch_) writer_.append(record);
 }

@@ -1,6 +1,6 @@
 // Ordered reference for sim::EventQueue: the test oracle the ladder queue
 // is diffed against (tests/test_queue_differential.cpp,
-// tests/test_partitioned_drain.cpp).
+// tests/test_batch_drain.cpp).
 //
 // A std::map keyed by (time, seq) holds every live event; an id map finds
 // a cancellable event's key. Nothing here is clever, so its pop order is
@@ -82,7 +82,8 @@ class QueueOracle {
     return true;
   }
 
-  Fired pop() {
+  /// The event pop() would return next, left in place.
+  Fired peek() const {
     FTGCS_EXPECTS(!events_.empty());
     const auto head = events_.begin();
     Fired fired;
@@ -91,8 +92,13 @@ class QueueOracle {
     fired.kind = head->second.kind;
     fired.sink = head->second.sink;
     fired.payload = head->second.payload;
+    return fired;
+  }
+
+  Fired pop() {
+    const Fired fired = peek();
     if (fired.id != 0) live_.erase(fired.id);
-    events_.erase(head);
+    events_.erase(events_.begin());
     return fired;
   }
 

@@ -245,6 +245,62 @@ TEST(Scenario, AxisApplicationCoversDocumentedNames) {
   EXPECT_EQ(spec.params.f, 0);
   apply_axis(spec, "faults_per_cluster", 0);
   EXPECT_EQ(spec.faults.count, 0);
+
+  // Real axes reject non-finite and out-of-range values the same way
+  // (horizon_rounds=-1, rho=nan, d=-1 and probability=2 used to abort in a
+  // contract check; gap_kappa=-5, mu=-1 and phi=nan ran silently).
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const char* positive : {"horizon_rounds", "rho", "d"}) {
+    expect_rejected(positive, -1, "-1");
+    expect_rejected(positive, 0, "0");
+    expect_rejected(positive, nan, "nan");
+    expect_rejected(positive, inf, "inf");
+  }
+  for (const char* non_negative :
+       {"U", "gap_kappa", "flip_rounds", "mu", "phi"}) {
+    expect_rejected(non_negative, -5, "-5");
+    expect_rejected(non_negative, nan, "nan");
+    expect_rejected(non_negative, -inf, "-inf");
+  }
+  expect_rejected("probability", 2, "2");
+  expect_rejected("probability", -0.5, "-0.5");
+  expect_rejected("probability", nan, "nan");
+  // The boundaries themselves are accepted.
+  apply_axis(spec, "U", 0);
+  EXPECT_EQ(spec.params.U, 0.0);
+  apply_axis(spec, "gap_kappa", 0);
+  EXPECT_EQ(spec.ramp.gap_kappa, 0.0);
+  apply_axis(spec, "flip_rounds", 0);
+  EXPECT_EQ(spec.drift.flip_rounds, 0.0);
+  apply_axis(spec, "mu", 0);
+  EXPECT_EQ(spec.params.mu, 0.0);
+  apply_axis(spec, "phi", 0);
+  EXPECT_EQ(spec.params.phi, 0.0);
+  apply_axis(spec, "probability", 0);
+  EXPECT_EQ(spec.faults.probability, 0.0);
+  apply_axis(spec, "probability", 1);
+  EXPECT_EQ(spec.faults.probability, 1.0);
+  apply_axis(spec, "rho", 1e-9);
+  EXPECT_EQ(spec.params.rho, 1e-9);
+}
+
+TEST(Scenario, DelayUncertaintyAboveMaxDelayIsATypedError) {
+  // U and d are separate axes, so U <= d is checked when the spec is
+  // resolved; U > d used to abort in Params::derive.
+  ScenarioSpec spec;
+  apply_axis(spec, "d", 0.5);
+  apply_axis(spec, "U", 0.75);
+  try {
+    (void)spec.params.build();
+    ADD_FAILURE() << "U=0.75 with d=0.5 must throw";
+  } catch (const std::invalid_argument& error) {
+    const std::string what = error.what();
+    EXPECT_NE(what.find("U = 0.75"), std::string::npos) << what;
+    EXPECT_NE(what.find("d = 0.5"), std::string::npos) << what;
+  }
+  apply_axis(spec, "U", 0.5);  // U == d is allowed
+  EXPECT_EQ(spec.params.build().U, 0.5);
 }
 
 TEST(Scenario, ClusterSizeBelowThreeFPlusOneIsATypedError) {

@@ -190,12 +190,12 @@ TEST(NodeTable, ExecutionInvariantUnderDrainBatching) {
   EXPECT_EQ(pins::fnv1a(state), kLine3HeapPin) << state;
 }
 
-// The partitioned drain's proof obligation, pinned: committing one
-// tranche of receives to a lane in ANY order must produce bit-identical
-// lane state (arrival slots, own_arrival, dropped, duplicates). The
-// min-combine in lane_commit is what buys this — see the ORDER
-// INDEPENDENCE comment in core/receive_lane.h.
-TEST(ReceiveLane, CommitOrderIndependentWithinATranche) {
+// lane_commit's order independence, pinned: committing one run of
+// receives to a lane in ANY order must produce bit-identical lane state
+// (arrival slots, own_arrival, dropped, duplicates). The min-combine in
+// lane_commit is what buys this — see the ORDER INDEPENDENCE comment in
+// core/receive_lane.h.
+TEST(ReceiveLane, CommitOrderIndependentWithinARun) {
   constexpr int k = 4;
   const auto fresh = [] {
     ReceiveLane lane;
@@ -209,34 +209,34 @@ TEST(ReceiveLane, CommitOrderIndependentWithinATranche) {
     return lane;
   };
 
-  // A tranche with duplicates (several receives per member, distinct
+  // A run with duplicates (several receives per member, distinct
   // times), the own member among them, and one member unheard.
   struct Receive {
     int member;
     double at;
   };
-  std::vector<Receive> tranche = {
+  std::vector<Receive> receives = {
       {0, 11.5}, {1, 11.75}, {0, 11.25}, {2, 12.0},
       {1, 11.6}, {2, 11.9},  {0, 11.8},
   };
 
   const auto commit_all = [&](ReceiveLane& lane) {
-    for (const Receive& r : tranche) {
+    for (const Receive& r : receives) {
       lane_commit(lane, r.member, lane_arrival_value(lane, r.at));
     }
   };
   ReceiveLane expected = fresh();
   commit_all(expected);
 
-  // Every rotation + a few swap-shuffles of the tranche.
+  // Every rotation + a few swap-shuffles of the run.
   sim::Rng rng(41);
   for (int perm = 0; perm < 24; ++perm) {
-    if (perm < static_cast<int>(tranche.size())) {
-      std::rotate(tranche.begin(), tranche.begin() + 1, tranche.end());
+    if (perm < static_cast<int>(receives.size())) {
+      std::rotate(receives.begin(), receives.begin() + 1, receives.end());
     } else {
-      const std::size_t a = rng.below(tranche.size());
-      const std::size_t b = rng.below(tranche.size());
-      std::swap(tranche[a], tranche[b]);
+      const std::size_t a = rng.below(receives.size());
+      const std::size_t b = rng.below(receives.size());
+      std::swap(receives[a], receives[b]);
     }
     ReceiveLane lane = fresh();
     commit_all(lane);
@@ -258,7 +258,7 @@ TEST(ReceiveLane, CommitOrderIndependentWithinATranche) {
   ReceiveLane deaf = fresh();
   deaf.listening = 0;
   commit_all(deaf);
-  EXPECT_EQ(deaf.dropped, tranche.size());
+  EXPECT_EQ(deaf.dropped, receives.size());
   for (double slot : deaf.inline_arrivals) EXPECT_NE(slot, slot);
 }
 

@@ -147,15 +147,15 @@ TEST(TraceFormat, CapturedRunBytesIdenticalAcrossShardsAndHeapPin) {
   EXPECT_EQ(fnv1a(base), kRing64HeapTracePin);
 }
 
-// The time-partitioned drain and narrow-lane pin: a monitored
-// `large_torus` slice (the heaviest registered workload per round, the one
-// both mechanisms exist for) must stream byte-identical traces at
-// --shards 1 and 2, ftgcs_trace's differ must agree, and the bytes must
-// equal the heap engine's (which fired every delivery in exact order as
-// a wide entry). The counter assertions prove the partitioned drain and
-// the 16 B narrow lane actually carried traffic — without them this
-// would silently degrade into re-pinning the ordered, wide paths.
-TEST(TraceFormat, TorusMonitoredSliceIdenticalAcrossShardsViaPartitionedDrain) {
+// The batch-run and narrow-lane pin: a monitored `large_torus` slice (the
+// heaviest registered workload per round, the one both mechanisms exist
+// for) must stream byte-identical traces at --shards 1 and 2,
+// ftgcs_trace's differ must agree, and the bytes must equal the heap
+// engine's (which fired every delivery in exact order as a wide entry).
+// The counter assertions prove the ordered batch channel and the 16 B
+// narrow lane actually carried traffic — without them this would silently
+// degrade into re-pinning the single-pop, wide paths.
+TEST(TraceFormat, TorusMonitoredSliceIdenticalAcrossShardsViaBatchRuns) {
   exp::register_builtin_scenarios();
   ScenarioSpec spec = *exp::Registry::instance().find("large_torus");
   spec.axes = {{"clusters", {AxisValue::of(64)}}};
@@ -168,9 +168,8 @@ TEST(TraceFormat, TorusMonitoredSliceIdenticalAcrossShardsViaPartitionedDrain) {
     const exp::RunResult result = run_point(s, 1);
     EXPECT_TRUE(result.trace.enabled);
     EXPECT_GT(result.trace.records, 0.0);
-    // Pure-receive pulses below the horizon went through the unordered
-    // partitioned drain, not only the ordered batch runs.
-    EXPECT_GT(result.queue.unordered_events, 0.0) << "shards=" << shards;
+    // Pure-receive pulses drained through the ordered batch channel.
+    EXPECT_GT(result.queue.ordered_run_events, 0.0) << "shards=" << shards;
     // Broadcast fan-outs rode the narrow lane via coalesced group inserts.
     EXPECT_GT(result.queue.narrow_events, 0.0) << "shards=" << shards;
     EXPECT_GT(result.queue.group_inserts, 0.0) << "shards=" << shards;
