@@ -14,8 +14,9 @@
 //   --per-seed          one row per (point, seed)
 //   --timing            append wall_ms / events_per_sec columns (wall-clock
 //                       measurements; off by default so output stays
-//                       machine-independent) and a queue-tier footer
-//                       (buckets / rung spawns / overflow peak)
+//                       machine-independent) and a footer: the merged
+//                       run record's deterministic counters (queue tiers,
+//                       shard cut, monitors, outputs), then wall clock
 //   --shards T          conservative-parallel backend: stripe each run's
 //                       cluster graph over T worker threads advancing in
 //                       lock-step safe windows (default 1 = single
@@ -47,6 +48,7 @@
 #include <stdexcept>
 #include <string>
 #include <thread>
+#include <type_traits>
 #include <vector>
 
 #include "byz/strategies.h"
@@ -152,6 +154,115 @@ int cmd_list() {
   return 0;
 }
 
+/// Prints one diagnostics struct as `label: name=value ...` from its
+/// each_field() list (no newline).
+template <class Stats>
+void print_fields(const char* label, const Stats& stats) {
+  std::printf("%s:", label);
+  Stats::each_field([&](const char* name, auto field, support::Merge) {
+    const auto value = stats.*field;
+    if constexpr (std::is_floating_point_v<decltype(value)>) {
+      std::printf(" %s=%g", name, value);
+    } else {
+      std::printf(" %s=%llu", name, static_cast<unsigned long long>(value));
+    }
+  });
+}
+
+/// The `--timing` footer: the sweep's merged run record, deterministic
+/// section first (a pure function of scenario, seeds and shard count;
+/// scripts/bench_counters.sh diffs it in CI), then the wall-clock section.
+/// Every deterministic line prints on every timed footer, including a
+/// zero-event or sub-millisecond run, so "off" is always an explicit
+/// statement, never an absence.
+void print_footer(const exp::ScenarioSpec& spec,
+                  const exp::SweepResult& result) {
+  std::printf("[deterministic]\n");
+  const sim::EventQueue::TierStats& queue = result.queue;
+  print_fields("queue", queue);
+  // Ordering work per fired event (what the drain paid to restore (time,
+  // seq) order) and the entry footprint: 16 B narrow deliveries, 32 B
+  // wide entries and the 40 B group records that carry the narrow
+  // fan-outs; mean_group = deliveries per coalesced broadcast.
+  const double fired = result.total_events;
+  const double scheduled =
+      static_cast<double>(queue.narrow_events + queue.wide_events);
+  const double bytes = static_cast<double>(queue.entry_bytes());
+  std::printf("\nqueue[derived]: entry_bytes=%.0f sorted_per_event=%.2f "
+              "mean_group=%.1f bytes_per_event=%.1f\n",
+              bytes,
+              fired > 0.0 ? static_cast<double>(queue.sorted_entries) / fired
+                          : 0.0,
+              queue.group_inserts > 0
+                  ? static_cast<double>(queue.narrow_events) /
+                        static_cast<double>(queue.group_inserts)
+                  : 0.0,
+              scheduled > 0.0 ? bytes / scheduled : 0.0);
+  if (result.shard.shards > 0) {
+    print_fields("shards", result.shard);
+    std::printf("\n");
+  } else if (spec.shards > 1) {
+    std::printf("shards: requested %d, partition degenerate — ran the "
+                "single-simulator engine\n",
+                spec.shards);
+  }
+  const exp::SweepResult::MonitorTotals& mon = result.monitor;
+  if (mon.rows > 0.0) {
+    std::printf("monitors[on]: probes=%.0f violations=%.0f max_local=%.4g "
+                "max_global=%.4g max_intra=%.4g max_m_lag=%.4g",
+                mon.probes, mon.violations, mon.max_local_skew,
+                mon.max_global_skew, mon.max_intra, mon.max_m_lag);
+    if (std::isfinite(mon.min_local_margin)) {
+      std::printf(" local_margin=%.4g", mon.min_local_margin);
+    }
+    if (std::isfinite(mon.min_global_margin)) {
+      std::printf(" global_margin=%.4g", mon.min_global_margin);
+    }
+    if (std::isfinite(mon.min_intra_margin)) {
+      std::printf(" intra_margin=%.4g", mon.min_intra_margin);
+    }
+    std::printf("\n");
+    if (mon.has_violation) {
+      std::printf("monitors: FIRST VIOLATION %s value=%.6g bound=%.6g "
+                  "at t=%.6g task=%zu events=%llu trace_offset=%llu\n",
+                  mon.first.invariant, mon.first.value, mon.first.bound,
+                  mon.first.cursor.at, mon.first_task,
+                  static_cast<unsigned long long>(mon.first.cursor.events),
+                  static_cast<unsigned long long>(
+                      mon.first.cursor.trace_offset));
+    }
+  } else {
+    std::printf("monitors=off\n");
+  }
+  if (result.trace.files > 0) {
+    print_fields("trace", result.trace);
+    std::printf(" (%s)\n", spec.trace_path.c_str());
+  } else {
+    std::printf("trace=off\n");
+  }
+  if (result.series.files > 0) {
+    print_fields("metrics", result.series);
+    std::printf(" (%s)\n", spec.metrics_path.c_str());
+  } else {
+    std::printf("metrics=off\n");
+  }
+
+  std::printf("[wall-clock]\n");
+  if (result.total_wall_ms > 0.0 && result.total_events > 0.0) {
+    std::printf("%.3g simulated events in %.0f ms task time — %.2fM "
+                "events/sec/thread aggregate\n",
+                result.total_events, result.total_wall_ms,
+                result.total_events / result.total_wall_ms / 1000.0);
+  }
+  // Phase-profiler totals (--metrics runs only). Shard phase totals exist
+  // only for sharded tasks; the imbalance ratio is the work-stealing
+  // baseline number.
+  if (result.profile.shards > 0) {
+    print_fields("phases", result.profile);
+    std::printf("\n");
+  }
+}
+
 /// `run` executes the registered grid verbatim; `sweep` (allow_overrides)
 /// additionally accepts --axis/--seeds/--worst/--per-seed.
 int cmd_run(const std::vector<std::string>& args, bool allow_overrides) {
@@ -253,115 +364,7 @@ int cmd_run(const std::vector<std::string>& args, bool allow_overrides) {
   if (!quiet) {
     std::printf("\n%zu rows (%zu tasks, %d threads)\n", result.rows.size(),
                 spec.num_tasks(), threads);
-    // The whole diagnostics block keys on --timing alone: the queue /
-    // shards / monitor / trace lines are deterministic and must print on
-    // EVERY timed footer — including the degenerate single-simulator
-    // fallback of a zero-event or sub-millisecond run, which the old
-    // wall>0 && events>0 guard silently swallowed while the sharded
-    // footer printed them. Only the throughput line needs a nonzero wall.
-    if (timing) {
-      if (result.total_wall_ms > 0.0 && result.total_events > 0.0) {
-        std::printf("%.3g simulated events in %.0f ms task time — %.2fM "
-                    "events/sec/thread aggregate\n",
-                    result.total_events, result.total_wall_ms,
-                    result.total_events / result.total_wall_ms / 1000.0);
-      }
-      {
-        // Ordering work per fired event: what the drain paid to restore
-        // (time, seq) order.
-        const double fired = result.total_events;
-        std::printf("queue: buckets=%.0f rung_spawns=%.0f "
-                    "overflow_peak=%.0f reseeds=%.0f rewindows=%.0f "
-                    "sorts=%.0f sorted_entries=%.0f sorted_per_event=%.2f\n",
-                    result.queue.max_bucket_count, result.queue.rung_spawns,
-                    result.queue.max_overflow_peak, result.queue.reseeds,
-                    result.queue.rewindows, result.queue.sorts,
-                    result.queue.sorted_entries,
-                    fired > 0.0 ? result.queue.sorted_entries / fired : 0.0);
-      }
-      std::printf("runs: run_events=%.0f\n", result.queue.ordered_run_events);
-      {
-        // Entry-footprint split: 16 B narrow fire-only deliveries vs 32 B
-        // wide entries, plus the 40 B group records that carry the narrow
-        // fan-outs. mean_group = deliveries per coalesced broadcast.
-        const double narrow = result.queue.narrow_events;
-        const double wide = result.queue.wide_events;
-        const double groups = result.queue.group_inserts;
-        const double bytes = 16.0 * narrow + 32.0 * wide + 40.0 * groups;
-        const double total = narrow + wide;
-        std::printf("bytes[queue]: entry_bytes=%.0f narrow=%.0f wide=%.0f "
-                    "groups=%.0f mean_group=%.1f bytes_per_event=%.1f\n",
-                    bytes, narrow, wide, groups,
-                    groups > 0.0 ? narrow / groups : 0.0,
-                    total > 0.0 ? bytes / total : 0.0);
-      }
-      if (result.shard.shards > 0.0) {
-        std::printf("shards[%.0f]: cut_edges=%.0f min_cut_delay=%g "
-                    "windows=%.0f mailbox_peak=%.0f\n",
-                    result.shard.shards, result.shard.max_cut_edges,
-                    result.shard.min_cut_delay, result.shard.windows,
-                    result.shard.max_mailbox_peak);
-      } else if (spec.shards > 1) {
-        std::printf("shards: requested %d, partition degenerate — ran the "
-                    "single-simulator engine\n",
-                    spec.shards);
-      }
-      // Monitor/trace status prints on EVERY --timing footer — including
-      // the degenerate single-simulator fallback above — so "off" is
-      // always an explicit statement, never an absence.
-      if (result.monitor.rows > 0.0) {
-        const exp::SweepResult::MonitorTotals& mon = result.monitor;
-        std::printf("monitors[on]: probes=%.0f violations=%.0f "
-                    "max_local=%.4g max_global=%.4g max_intra=%.4g",
-                    mon.probes, mon.violations, mon.max_local_skew,
-                    mon.max_global_skew, mon.max_intra);
-        if (std::isfinite(mon.min_local_margin)) {
-          std::printf(" local_margin=%.4g", mon.min_local_margin);
-        }
-        if (std::isfinite(mon.min_global_margin)) {
-          std::printf(" global_margin=%.4g", mon.min_global_margin);
-        }
-        if (std::isfinite(mon.min_intra_margin)) {
-          std::printf(" intra_margin=%.4g", mon.min_intra_margin);
-        }
-        std::printf("\n");
-        if (mon.has_violation) {
-          std::printf("monitors: FIRST VIOLATION %s value=%.6g bound=%.6g "
-                      "at t=%.6g task=%zu events=%llu trace_offset=%llu\n",
-                      mon.first.invariant, mon.first.value, mon.first.bound,
-                      mon.first.cursor.at, mon.first_task,
-                      static_cast<unsigned long long>(mon.first.cursor.events),
-                      static_cast<unsigned long long>(
-                          mon.first.cursor.trace_offset));
-        }
-      } else {
-        std::printf("monitors=off\n");
-      }
-      if (result.trace.files > 0.0) {
-        std::printf("trace[on]: files=%.0f records=%.0f bytes=%.0f (%s)\n",
-                    result.trace.files, result.trace.records,
-                    result.trace.bytes, spec.trace_path.c_str());
-      } else {
-        std::printf("trace=off\n");
-      }
-      if (result.series.files > 0.0) {
-        std::printf("metrics[on]: files=%.0f probes=%.0f bytes=%.0f (%s)\n",
-                    result.series.files, result.series.probes,
-                    result.series.bytes, spec.metrics_path.c_str());
-        // Phase-profiler summary (wall clock, nondeterministic — footer
-        // only). Shard phase totals exist only for sharded tasks; the
-        // imbalance ratio is the work-stealing baseline number.
-        const exp::SweepResult::ProfileTotals& prof = result.profile;
-        if (prof.shards > 0.0) {
-          std::printf("phases[%.0f shards]: merge_ms=%.1f run_ms=%.1f "
-                      "wait_ms=%.1f imbalance=%.3f\n",
-                      prof.shards, prof.merge_ms, prof.run_ms, prof.wait_ms,
-                      prof.max_imbalance);
-        }
-      } else {
-        std::printf("metrics=off\n");
-      }
-    }
+    if (timing) print_footer(spec, result);
   }
   return 0;
 }

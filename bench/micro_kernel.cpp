@@ -330,51 +330,6 @@ void BM_NodeTablePulseRun(benchmark::State& state) {
 }
 BENCHMARK(BM_NodeTablePulseRun);
 
-// Vectorized receive-lane kernel: NodeTable::on_pulse_run at the full
-// batch-run length (Simulator::kMaxBatch events per call) — the
-// decode/filter, clock-FMA, and lane-commit sweeps over the scratch
-// columns. Complements BM_NodeTablePulseRun, whose arrivals all share one
-// instant. Items are deliveries/second.
-void BM_LaneReceiveVectorized(benchmark::State& state) {
-  const core::Params params = core::Params::practical(1e-3, 1.0, 0.01, 1);
-  core::FtGcsSystem::Config config;
-  config.params = params;
-  config.seed = 33;
-  core::FtGcsSystem system(net::Graph::torus(8, 8), std::move(config));
-  system.start();
-  system.run_until(1.0 * params.T);
-  const sim::Time now = system.simulator().now();
-  const auto& topo = system.topology();
-
-  std::vector<sim::BatchedEvent> run;
-  while (run.size() < sim::Simulator::kMaxBatch) {
-    const std::size_t before = run.size();
-    for (int dest = 0;
-         dest < topo.num_nodes() && run.size() < sim::Simulator::kMaxBatch;
-         ++dest) {
-      for (int sender : system.network().neighbors(dest)) {
-        sim::BatchedEvent event;
-        // Spread the arrivals so the FMA pass sees distinct times, as a
-        // real batch run does.
-        event.at = now + 1e-7 * static_cast<double>(run.size());
-        event.payload.a = sender;
-        event.payload.c = dest;
-        event.payload.d =
-            static_cast<std::uint32_t>(net::PulseKind::kClusterPulse);
-        run.push_back(event);
-        if (run.size() == sim::Simulator::kMaxBatch) break;
-      }
-    }
-    if (run.size() == before) break;  // tiny topology: stop wrapping
-  }
-  for (auto _ : state) {
-    system.node_table().on_pulse_run(run.data(), run.size());
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<std::int64_t>(run.size()));
-}
-BENCHMARK(BM_LaneReceiveVectorized);
-
 // Stale-level classification kernel: the batch predicate that decides, at
 // pop time, whether a pulse event is a pure receive. This gate runs once
 // per delivery at 40k-node scale, so its cost is throughput-critical.

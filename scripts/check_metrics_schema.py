@@ -19,7 +19,7 @@ Validates one or more JSONL files written via `ftgcs_bench --metrics`:
     p50 <= p99 <= max for both "local" and "global".
 
 When a sibling <path>.profile exists it is checked too (header schema id
-"ftgcs-profile-v1", plane "nondeterministic", every row carries a known
+"ftgcs-profile-v2", plane "nondeterministic", every row carries a known
 "section" tag) — but none of its VALUES are constrained: that file is
 wall-clock material by contract.
 
@@ -154,7 +154,7 @@ def check_profile(path):
     header = parse_line(path, 1, lines[0], errors)
     if header is None:
         return 1
-    if header.get("schema") != "ftgcs-profile-v1":
+    if header.get("schema") != "ftgcs-profile-v2":
         return fail(path, 1, "bad schema id: %r" % header.get("schema"))
     if header.get("plane") != "nondeterministic":
         errors.append(fail(

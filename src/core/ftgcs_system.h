@@ -133,6 +133,7 @@ class FtGcsSystem {
 
   // ---- access ---------------------------------------------------------------
   sim::Simulator& simulator() { return sim_; }
+  const sim::Simulator& simulator() const { return sim_; }
   net::Network& network() { return *network_; }
   const net::AugmentedTopology& topology() const { return topo_; }
   const Params& params() const { return config_.params; }

@@ -110,22 +110,6 @@ struct SampleMaxima {
   double max_m_lag = 0.0;
 };
 
-RunResult::QueueTiers queue_tiers(const sim::EventQueue::TierStats& stats) {
-  RunResult::QueueTiers tiers;
-  tiers.bucket_count = static_cast<double>(stats.bucket_count);
-  tiers.rung_spawns = static_cast<double>(stats.rung_spawns);
-  tiers.overflow_peak = static_cast<double>(stats.overflow_peak);
-  tiers.reseeds = static_cast<double>(stats.reseeds);
-  tiers.ordered_run_events = static_cast<double>(stats.ordered_run_events);
-  tiers.narrow_events = static_cast<double>(stats.narrow_events);
-  tiers.wide_events = static_cast<double>(stats.wide_events);
-  tiers.group_inserts = static_cast<double>(stats.group_inserts);
-  tiers.sorts = static_cast<double>(stats.sorts);
-  tiers.sorted_entries = static_cast<double>(stats.sorted_entries);
-  tiers.rewindows = static_cast<double>(stats.rewindows);
-  return tiers;
-}
-
 // Uniform accessors over the two FT-GCS execution backends (the single
 // simulator and the sharded conservative-parallel driver), so one
 // measurement loop serves both and the metric schema cannot drift apart.
@@ -143,17 +127,10 @@ std::uint64_t system_messages(core::FtGcsSystem& s) {
 std::uint64_t system_messages(const par::ShardedFtGcsSystem& s) {
   return s.messages_sent();
 }
-RunResult::QueueTiers system_queue(core::FtGcsSystem& s) {
-  return queue_tiers(s.simulator().queue_stats());
-}
-RunResult::QueueTiers system_queue(const par::ShardedFtGcsSystem& s) {
-  return queue_tiers(s.queue_stats());
-}
-sim::EventQueue::TierStats system_tier_stats(core::FtGcsSystem& s) {
+sim::EventQueue::TierStats system_queue(core::FtGcsSystem& s) {
   return s.simulator().queue_stats();
 }
-sim::EventQueue::TierStats system_tier_stats(
-    const par::ShardedFtGcsSystem& s) {
+sim::EventQueue::TierStats system_queue(const par::ShardedFtGcsSystem& s) {
   return s.queue_stats();
 }
 void system_window_diag(core::FtGcsSystem&,
@@ -164,18 +141,12 @@ void system_window_diag(const par::ShardedFtGcsSystem& s,
                         std::vector<obs::ShardWindowDiag>& out) {
   s.shard_window_diag(out);
 }
-RunResult::ShardDiag system_shard_diag(core::FtGcsSystem&) {
+par::ShardedFtGcsSystem::ShardStats system_shard_stats(core::FtGcsSystem&) {
   return {};
 }
-RunResult::ShardDiag system_shard_diag(const par::ShardedFtGcsSystem& s) {
-  const par::ShardedFtGcsSystem::ShardStats stats = s.shard_stats();
-  RunResult::ShardDiag diag;
-  diag.shards = static_cast<double>(stats.shards);
-  diag.cut_edges = static_cast<double>(stats.cut_edges);
-  diag.min_cut_delay = stats.min_cut_delay;
-  diag.windows = static_cast<double>(stats.windows);
-  diag.mailbox_peak = static_cast<double>(stats.mailbox_peak);
-  return diag;
+par::ShardedFtGcsSystem::ShardStats system_shard_stats(
+    const par::ShardedFtGcsSystem& s) {
+  return s.shard_stats();
 }
 
 /// Sample times: every probe interval, plus the horizon itself.
@@ -319,7 +290,7 @@ RunResult measure_ftgcs(System& system, const ResolvedRun& run,
       // The diag rows live in the sidecar, never the series: the tier mix
       // and the per-shard split are shard-dependent.
       system_window_diag(system, diag_scratch);
-      profiler->probe_diag(t, system_tier_stats(system), diag_scratch);
+      profiler->probe_diag(t, system_queue(system), diag_scratch);
       profiler->span_end("collect");
     }
   }
@@ -399,7 +370,7 @@ RunResult measure_ftgcs(System& system, const ResolvedRun& run,
   m.emplace_back("events", static_cast<double>(system_events(system)));
   if (run.measure_m_lag) m.emplace_back("max_m_lag", agg.max_m_lag);
   result.queue = system_queue(system);
-  result.shard = system_shard_diag(system);
+  result.shard = system_shard_stats(system);
   if (monitor != nullptr) {
     result.monitor.enabled = true;
     result.monitor.bounds = monitor->bounds();
@@ -407,10 +378,7 @@ RunResult measure_ftgcs(System& system, const ResolvedRun& run,
   }
   if (sampler != nullptr) {
     sampler->finish();
-    result.series.enabled = true;
-    result.series.path = run.metrics_path;
-    result.series.probes = static_cast<double>(sampler->probes());
-    result.series.bytes = static_cast<double>(sampler->bytes());
+    result.series = {1, sampler->probes(), sampler->bytes()};
   }
   return result;
 }
@@ -425,10 +393,7 @@ RunResult measure_and_seal(System& system, const ResolvedRun& run,
   RunResult result = measure_ftgcs(system, run, topo, collector, profiler);
   if (collector != nullptr) {
     collector->finish();
-    result.trace.enabled = true;
-    result.trace.path = run.trace_path;
-    result.trace.records = static_cast<double>(collector->records());
-    result.trace.bytes = static_cast<double>(collector->bytes_written());
+    result.trace = {1, collector->records(), collector->bytes_written()};
   }
   if (profiler != nullptr) {
     // Stamp the footer summary from the accumulators, then let finish()
@@ -436,12 +401,8 @@ RunResult measure_and_seal(System& system, const ResolvedRun& run,
     // at the start barrier here (run_until returned), so the slot reads
     // are barrier-ordered.
     const obs::PhaseProfiler::PhaseTotals totals = profiler->totals();
-    result.profile.enabled = true;
-    result.profile.shards = static_cast<double>(profiler->shards());
-    result.profile.merge_ms = totals.merge_ms;
-    result.profile.run_ms = totals.run_ms;
-    result.profile.wait_ms = totals.collect_ms;
-    result.profile.imbalance = profiler->imbalance();
+    result.profile = {1, profiler->shards(), totals.merge_ms, totals.run_ms,
+                      totals.collect_ms, profiler->imbalance()};
     profiler->finish();
   }
   return result;
@@ -578,7 +539,7 @@ RunResult run_gcs_baseline(const ResolvedRun& run) {
   m.emplace_back("final_global", agg.final_global);
   m.emplace_back("events",
                  static_cast<double>(system.simulator().fired_events()));
-  result.queue = queue_tiers(system.simulator().queue_stats());
+  result.queue = system.simulator().queue_stats();
   return result;
 }
 

@@ -16,7 +16,10 @@
 #include "core/params.h"
 #include "exp/scenario.h"
 #include "net/graph.h"
+#include "par/sharded_system.h"
 #include "sim/backend.h"
+#include "sim/event_queue.h"
+#include "support/stats_fields.h"
 #include "trace/monitor.h"
 
 namespace ftgcs::exp {
@@ -64,41 +67,13 @@ struct RunResult {
   std::uint64_t seed = 0;
   std::vector<std::pair<std::string, double>> metrics;
 
-  /// Event-queue tier diagnostics of the run's simulator. Deterministic,
-  /// but shard-dependent — kept out of `metrics` so every sink's output
-  /// stays bit-identical across `--shards`; the `--timing` footer
-  /// aggregates them instead.
-  struct QueueTiers {
-    double bucket_count = 0.0;   ///< widest calendar window built
-    double rung_spawns = 0.0;    ///< overflowing buckets split on drain
-    double overflow_peak = 0.0;  ///< overflow-tier occupancy high-water mark
-    double reseeds = 0.0;        ///< windows rebuilt from the overflow tier
-    // Batch-channel run length: events drained in sorted batch runs.
-    double ordered_run_events = 0.0;
-    // Bytes-per-event split (EventQueue narrow delivery lane).
-    double narrow_events = 0.0;   ///< 16 B narrow deliveries scheduled
-    double wide_events = 0.0;     ///< 32 B entries scheduled
-    double group_inserts = 0.0;   ///< coalesced fan-out groups created
-    // Ordering work (EventQueue::TierStats): drain sorts, the entries they
-    // sorted, and hot-head window rebuilds.
-    double sorts = 0.0;
-    double sorted_entries = 0.0;
-    double rewindows = 0.0;
-  };
-  QueueTiers queue;
-
-  /// Sharded-backend diagnostics (kept out of `metrics` for the same
-  /// reason: tables stay bit-identical at every `--shards T`, so the
-  /// partition geometry is `--timing` footer material, not a metric).
-  /// All zero when the run used the single-simulator engine.
-  struct ShardDiag {
-    double shards = 0.0;         ///< effective shard count (0 = unsharded)
-    double cut_edges = 0.0;      ///< directed node edges crossing the cut
-    double min_cut_delay = 0.0;  ///< conservative lookahead (d − u)
-    double windows = 0.0;        ///< safe windows executed
-    double mailbox_peak = 0.0;   ///< max cross-shard merge at one barrier
-  };
-  ShardDiag shard;
+  /// Diagnostics of the run's backend. Deterministic, but they depend on
+  /// the shard count, so they stay out of `metrics` (every sink's output
+  /// is bit-identical across `--shards`); the `--timing` footer merges
+  /// them over tasks instead. Each type lists its fields once in
+  /// each_field() (support/stats_fields.h).
+  sim::EventQueue::TierStats queue;  ///< merged over shards
+  par::ShardedFtGcsSystem::ShardStats shard;  ///< default when unsharded
 
   /// Online invariant-monitor report. Footer material for the same reason
   /// as the diagnostics above: the monitors observe the same ground truth
@@ -113,10 +88,16 @@ struct RunResult {
 
   /// Trace-capture summary (all zero when tracing was off).
   struct TraceInfo {
-    bool enabled = false;
-    std::string path;
-    double records = 0.0;
-    double bytes = 0.0;
+    std::uint64_t files = 0;  ///< 1 when this run wrote a trace
+    std::uint64_t records = 0;
+    std::uint64_t bytes = 0;
+
+    template <class F>
+    static void each_field(F&& f) {
+      f("files", &TraceInfo::files, support::Merge::kSum);
+      f("records", &TraceInfo::records, support::Merge::kSum);
+      f("bytes", &TraceInfo::bytes, support::Merge::kSum);
+    }
   };
   TraceInfo trace;
 
@@ -124,10 +105,16 @@ struct RunResult {
   /// off). `probes`/`bytes` are themselves deterministic: the series is
   /// byte-identical across engines and shard counts.
   struct SeriesInfo {
-    bool enabled = false;
-    std::string path;
-    double probes = 0.0;
-    double bytes = 0.0;
+    std::uint64_t files = 0;  ///< 1 when this run wrote a series
+    std::uint64_t probes = 0;
+    std::uint64_t bytes = 0;
+
+    template <class F>
+    static void each_field(F&& f) {
+      f("files", &SeriesInfo::files, support::Merge::kSum);
+      f("probes", &SeriesInfo::probes, support::Merge::kSum);
+      f("bytes", &SeriesInfo::bytes, support::Merge::kSum);
+    }
   };
   SeriesInfo series;
 
@@ -136,12 +123,23 @@ struct RunResult {
   /// totals stay zero for unsharded runs (spans still cover setup/run/
   /// collect).
   struct ProfileInfo {
-    bool enabled = false;
-    double shards = 0.0;
+    std::uint64_t rows = 0;  ///< 1 when this run ran the profiler
+    int shards = 0;
     double merge_ms = 0.0;
     double run_ms = 0.0;
     double wait_ms = 0.0;
     double imbalance = 0.0;  ///< max/mean per-shard run-phase time
+
+    template <class F>
+    static void each_field(F&& f) {
+      using support::Merge;
+      f("rows", &ProfileInfo::rows, Merge::kSum);
+      f("shards", &ProfileInfo::shards, Merge::kMax);
+      f("merge_ms", &ProfileInfo::merge_ms, Merge::kSum);
+      f("run_ms", &ProfileInfo::run_ms, Merge::kSum);
+      f("wait_ms", &ProfileInfo::wait_ms, Merge::kSum);
+      f("imbalance", &ProfileInfo::imbalance, Merge::kMax);
+    }
   };
   ProfileInfo profile;
 

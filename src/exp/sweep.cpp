@@ -9,6 +9,7 @@
 #include <utility>
 
 #include "support/assert.h"
+#include "support/stats_fields.h"
 
 namespace ftgcs::exp {
 
@@ -153,33 +154,11 @@ SweepResult SweepRunner::run(const ScenarioSpec& spec) const {
   for (std::size_t i = 0; i < tasks.size(); ++i) {
     sweep.total_wall_ms += wall_ms[i];
     sweep.total_events += task_events(i);
-    const RunResult::QueueTiers& tiers = results[i].queue;
-    sweep.queue.max_bucket_count =
-        std::max(sweep.queue.max_bucket_count, tiers.bucket_count);
-    sweep.queue.rung_spawns += tiers.rung_spawns;
-    sweep.queue.max_overflow_peak =
-        std::max(sweep.queue.max_overflow_peak, tiers.overflow_peak);
-    sweep.queue.reseeds += tiers.reseeds;
-    sweep.queue.ordered_run_events += tiers.ordered_run_events;
-    sweep.queue.narrow_events += tiers.narrow_events;
-    sweep.queue.wide_events += tiers.wide_events;
-    sweep.queue.group_inserts += tiers.group_inserts;
-    sweep.queue.sorts += tiers.sorts;
-    sweep.queue.sorted_entries += tiers.sorted_entries;
-    sweep.queue.rewindows += tiers.rewindows;
-    const RunResult::ShardDiag& shard = results[i].shard;
-    if (shard.shards > 0.0) {
-      sweep.shard.min_cut_delay =
-          sweep.shard.shards > 0.0
-              ? std::min(sweep.shard.min_cut_delay, shard.min_cut_delay)
-              : shard.min_cut_delay;
-      sweep.shard.shards = std::max(sweep.shard.shards, shard.shards);
-      sweep.shard.max_cut_edges =
-          std::max(sweep.shard.max_cut_edges, shard.cut_edges);
-      sweep.shard.windows += shard.windows;
-      sweep.shard.max_mailbox_peak =
-          std::max(sweep.shard.max_mailbox_peak, shard.mailbox_peak);
-    }
+    support::merge_stats(sweep.queue, results[i].queue);
+    support::merge_stats(sweep.shard, results[i].shard);
+    support::merge_stats(sweep.trace, results[i].trace);
+    support::merge_stats(sweep.series, results[i].series);
+    support::merge_stats(sweep.profile, results[i].profile);
     const RunResult::MonitorReport& mon = results[i].monitor;
     if (mon.enabled) {
       auto& agg = sweep.monitor;
@@ -212,28 +191,6 @@ SweepResult SweepRunner::run(const ScenarioSpec& spec) const {
         agg.first_task = i;
         agg.first = mon.stats.first;
       }
-    }
-    const RunResult::TraceInfo& trace = results[i].trace;
-    if (trace.enabled) {
-      sweep.trace.files += 1.0;
-      sweep.trace.records += trace.records;
-      sweep.trace.bytes += trace.bytes;
-    }
-    const RunResult::SeriesInfo& series = results[i].series;
-    if (series.enabled) {
-      sweep.series.files += 1.0;
-      sweep.series.probes += series.probes;
-      sweep.series.bytes += series.bytes;
-    }
-    const RunResult::ProfileInfo& profile = results[i].profile;
-    if (profile.enabled) {
-      auto& agg = sweep.profile;
-      agg.rows += 1.0;
-      agg.shards = std::max(agg.shards, profile.shards);
-      agg.merge_ms += profile.merge_ms;
-      agg.run_ms += profile.run_ms;
-      agg.wait_ms += profile.wait_ms;
-      agg.max_imbalance = std::max(agg.max_imbalance, profile.imbalance);
     }
   }
 

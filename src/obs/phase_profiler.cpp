@@ -31,7 +31,7 @@ PhaseProfiler::PhaseProfiler(const std::string& path) : path_(path) {
   if (file_ == nullptr) {
     throw std::runtime_error("obs: cannot create '" + path_ + "'");
   }
-  line_ = "{\"schema\":\"ftgcs-profile-v1\",\"plane\":\"nondeterministic\"}\n";
+  line_ = "{\"schema\":\"ftgcs-profile-v2\",\"plane\":\"nondeterministic\"}\n";
   try {
     write_row(file_, line_, path_);
   } catch (...) {
@@ -96,20 +96,15 @@ void PhaseProfiler::probe_diag(double at,
   line_.clear();
   line_ += "{\"section\":\"diag\",\"t\":";
   append_json_double(line_, at);
-  line_ += ",\"narrow\":";
-  append_json_u64(line_, tiers.narrow_events);
-  line_ += ",\"wide\":";
-  append_json_u64(line_, tiers.wide_events);
-  line_ += ",\"groups\":";
-  append_json_u64(line_, tiers.group_inserts);
+  sim::EventQueue::TierStats::each_field(
+      [&](const char* name, auto field, support::Merge) {
+        line_ += ",\"";
+        line_ += name;
+        line_ += "\":";
+        append_json_u64(line_, tiers.*field);
+      });
   line_ += ",\"entry_bytes\":";
   append_json_u64(line_, tiers.entry_bytes());
-  line_ += ",\"ordered_runs\":";
-  append_json_u64(line_, tiers.ordered_run_events);
-  line_ += ",\"buckets\":";
-  append_json_u64(line_, static_cast<std::uint64_t>(tiers.bucket_count));
-  line_ += ",\"overflow_peak\":";
-  append_json_u64(line_, static_cast<std::uint64_t>(tiers.overflow_peak));
   for (std::size_t s = 0; s < shards.size(); ++s) {
     char key[48];
     std::snprintf(key, sizeof(key), ",\"s%zu_routed\":", s);

@@ -2,8 +2,9 @@
 //
 // Two kinds of rows, both kept strictly OUT of the deterministic series:
 //
-//   * "diag" rows — per-probe queue-tier occupancy/byte mix (TierStats)
-//     and per-shard mailbox depth / cut-edge traffic. These are
+//   * "diag" rows — per-probe queue-tier counters (every field of
+//     TierStats::each_field under its own name, plus entry_bytes) and
+//     per-shard mailbox depth / cut-edge traffic. These are
 //     deterministic for a fixed configuration but DEPEND on the shard
 //     count (each shard's queue sees its own narrow/wide mix, mailbox
 //     depth differs by T), so they can never live in the file that is

@@ -35,6 +35,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <limits>
 #include <memory>
 #include <thread>
 #include <vector>
@@ -50,6 +51,7 @@
 #include "sim/backend.h"
 #include "sim/event_queue.h"
 #include "sim/time_types.h"
+#include "support/stats_fields.h"
 
 namespace ftgcs::trace {
 class TraceCollector;
@@ -114,12 +116,26 @@ class ShardedFtGcsSystem {
 
   /// Deterministic, engine-independent diagnostics of one sharded run
   /// (reported via the --timing footer, never mixed into metric tables).
+  /// A default-constructed value (shards 0) stands for an unsharded run;
+  /// each default is the identity of the field's merge rule.
   struct ShardStats {
-    int shards = 1;
-    std::size_t cut_edges = 0;
-    double min_cut_delay = 0.0;
+    int shards = 0;                  ///< effective shard count
+    std::size_t cut_edges = 0;       ///< directed node edges crossing the cut
+    /// Conservative lookahead (d − u).
+    double min_cut_delay = std::numeric_limits<double>::infinity();
     std::uint64_t windows = 0;       ///< safe windows executed
     std::size_t mailbox_peak = 0;    ///< max entries merged at one barrier
+
+    /// Every field with its merge rule over sweep tasks.
+    template <class F>
+    static void each_field(F&& f) {
+      using support::Merge;
+      f("shards", &ShardStats::shards, Merge::kMax);
+      f("cut_edges", &ShardStats::cut_edges, Merge::kMax);
+      f("min_cut_delay", &ShardStats::min_cut_delay, Merge::kMin);
+      f("windows", &ShardStats::windows, Merge::kSum);
+      f("mailbox_peak", &ShardStats::mailbox_peak, Merge::kMax);
+    }
   };
 
   ShardedFtGcsSystem(net::Graph cluster_graph, Config config);
@@ -146,6 +162,10 @@ class ShardedFtGcsSystem {
   const ShardPlan& plan() const { return plan_; }
   const net::AugmentedTopology& topology() const { return *topo_; }
   const core::Params& params() const { return shards_.front()->params(); }
+  /// Shard `s`'s own system (diagnostics; its counters are per shard).
+  const core::FtGcsSystem& shard(int s) const {
+    return *shards_[static_cast<std::size_t>(s)];
+  }
 
   /// Merged ground-truth snapshot (each node read from its owner shard).
   void snapshot_columns(core::SystemColumns& out) const;
@@ -161,8 +181,7 @@ class ShardedFtGcsSystem {
   std::uint64_t fired_events() const;
   std::uint64_t messages_sent() const;
   std::uint64_t total_violations() const;
-  /// Queue-tier diagnostics reduced over shards (max for occupancy
-  /// figures, sum for event counters).
+  /// Queue-tier diagnostics merged over shards (TierStats::each_field).
   sim::EventQueue::TierStats queue_stats() const;
   ShardStats shard_stats() const;
 

@@ -69,6 +69,7 @@
 #include "sim/event.h"
 #include "sim/time_types.h"
 #include "support/assert.h"
+#include "support/stats_fields.h"
 
 namespace ftgcs::sim {
 
@@ -216,7 +217,8 @@ class EventQueue {
 
   /// Queue-tier diagnostics, surfaced through `--timing` footers so sweep
   /// output shows which tier dominated a run. All values are deterministic
-  /// functions of the schedule (no wall clock involved).
+  /// functions of the schedule (no wall clock involved). each_field() is
+  /// the one list of them (see support/stats_fields.h).
   struct TierStats {
     std::size_t bucket_count = 0;   ///< widest calendar window built
     std::uint64_t rung_spawns = 0;  ///< overflowing buckets split on drain
@@ -248,6 +250,26 @@ class EventQueue {
     /// traffic is not included.
     std::uint64_t entry_bytes() const {
       return 16 * narrow_events + 32 * wide_events + 40 * group_inserts;
+    }
+
+    /// Every counter with its merge rule over shards and sweep tasks:
+    /// maxima for sizes and high-water marks, sums for event counts.
+    /// `unordered_events` is left out: it is always 0.
+    template <class F>
+    static void each_field(F&& f) {
+      using support::Merge;
+      f("bucket_count", &TierStats::bucket_count, Merge::kMax);
+      f("rung_spawns", &TierStats::rung_spawns, Merge::kSum);
+      f("overflow_peak", &TierStats::overflow_peak, Merge::kMax);
+      f("overflow_pushes", &TierStats::overflow_pushes, Merge::kSum);
+      f("reseeds", &TierStats::reseeds, Merge::kSum);
+      f("ordered_run_events", &TierStats::ordered_run_events, Merge::kSum);
+      f("narrow_events", &TierStats::narrow_events, Merge::kSum);
+      f("wide_events", &TierStats::wide_events, Merge::kSum);
+      f("group_inserts", &TierStats::group_inserts, Merge::kSum);
+      f("sorts", &TierStats::sorts, Merge::kSum);
+      f("sorted_entries", &TierStats::sorted_entries, Merge::kSum);
+      f("rewindows", &TierStats::rewindows, Merge::kSum);
     }
   };
   const TierStats& tier_stats() const { return stats_; }

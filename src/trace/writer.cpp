@@ -6,31 +6,28 @@ namespace ftgcs::trace {
 
 namespace {
 
-void put_u32(std::FILE* file, std::uint32_t v) {
-  const std::uint8_t bytes[4] = {
-      static_cast<std::uint8_t>(v), static_cast<std::uint8_t>(v >> 8),
-      static_cast<std::uint8_t>(v >> 16), static_cast<std::uint8_t>(v >> 24)};
-  if (std::fwrite(bytes, 1, sizeof bytes, file) != sizeof bytes) {
-    throw std::runtime_error("trace: short write");
-  }
-}
-
-void put_u64(std::FILE* file, std::uint64_t v) {
-  put_u32(file, static_cast<std::uint32_t>(v));
-  put_u32(file, static_cast<std::uint32_t>(v >> 32));
+[[noreturn]] void fail(const char* what, const std::string& path) {
+  throw std::runtime_error(std::string("trace: ") + what + " '" + path + "'");
 }
 
 }  // namespace
 
-TraceWriter::TraceWriter(const std::string& path) {
-  file_ = std::fopen(path.c_str(), "wb");
-  if (file_ == nullptr) {
-    throw std::runtime_error("trace: cannot create '" + path + "'");
+void TraceWriter::put_u32(std::uint32_t v) {
+  const std::uint8_t bytes[4] = {
+      static_cast<std::uint8_t>(v), static_cast<std::uint8_t>(v >> 8),
+      static_cast<std::uint8_t>(v >> 16), static_cast<std::uint8_t>(v >> 24)};
+  if (std::fwrite(bytes, 1, sizeof bytes, file_) != sizeof bytes) {
+    fail("short write to", path_);
   }
+}
+
+TraceWriter::TraceWriter(const std::string& path) : path_(path) {
+  file_ = std::fopen(path.c_str(), "wb");
+  if (file_ == nullptr) fail("cannot create", path_);
   if (std::fwrite(kMagic, 1, kMagicBytes, file_) != kMagicBytes) {
     std::fclose(file_);
     file_ = nullptr;
-    throw std::runtime_error("trace: short write to '" + path + "'");
+    fail("short write to", path_);
   }
   bytes_written_ = kMagicBytes;
   pending_.reserve(kFrameBytes + 64);
@@ -69,11 +66,11 @@ void TraceWriter::append(const Record& record) {
 
 void TraceWriter::flush_frame() {
   if (pending_.empty()) return;
-  put_u32(file_, static_cast<std::uint32_t>(pending_.size()));
-  put_u32(file_, pending_count_);
+  put_u32(static_cast<std::uint32_t>(pending_.size()));
+  put_u32(pending_count_);
   if (std::fwrite(pending_.data(), 1, pending_.size(), file_) !=
       pending_.size()) {
-    throw std::runtime_error("trace: short write");
+    fail("short write to", path_);
   }
   framed_bytes_ += kFrameHeaderBytes + pending_.size();
   bytes_written_ += kFrameHeaderBytes + pending_.size();
@@ -84,14 +81,17 @@ void TraceWriter::flush_frame() {
 void TraceWriter::finish() {
   if (finished_ || file_ == nullptr) return;
   flush_frame();
-  put_u32(file_, 0);  // end marker: empty frame
-  put_u32(file_, 0);
-  put_u64(file_, records_);
+  put_u32(0);  // end marker: empty frame
+  put_u32(0);
+  put_u32(static_cast<std::uint32_t>(records_));  // u64 trailer, low half
+  put_u32(static_cast<std::uint32_t>(records_ >> 32));
   bytes_written_ += 16;
-  if (std::fflush(file_) != 0) {
-    throw std::runtime_error("trace: flush failed");
-  }
+  if (std::fflush(file_) != 0) fail("flush failed for", path_);
   finished_ = true;
+  // Closed here, not in the dtor, so a failed close is reported too.
+  std::FILE* file = file_;
+  file_ = nullptr;
+  if (std::fclose(file) != 0) fail("close failed for", path_);
 }
 
 }  // namespace ftgcs::trace

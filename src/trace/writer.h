@@ -29,7 +29,9 @@ class TraceWriter {
 
   void append(const Record& record);
 
-  /// Flushes the pending frame and writes end marker + trailer. Idempotent.
+  /// Flushes the pending frame, writes end marker + trailer and closes
+  /// the file. Idempotent. Throws std::runtime_error naming the path on a
+  /// short write or a failed flush or close.
   void finish();
 
   std::uint64_t records() const { return records_; }
@@ -49,7 +51,9 @@ class TraceWriter {
   static constexpr std::size_t kFrameHeaderBytes = 8;  // u32 len + u32 count
 
   void flush_frame();
+  void put_u32(std::uint32_t v);
 
+  std::string path_;  ///< named in every error message
   std::FILE* file_ = nullptr;
   std::vector<std::uint8_t> pending_;  ///< current frame payload
   std::uint32_t pending_count_ = 0;    ///< records in the pending frame

@@ -312,7 +312,7 @@ std::string run_series(const std::string& scenario, int shards,
   spec.shards = shards;
   spec.metrics_path = path;
   const exp::RunResult result = run_point(spec, 1);
-  EXPECT_TRUE(result.series.enabled);
+  EXPECT_EQ(result.series.files, 1u);
   EXPECT_GT(result.series.probes, 0u);
   EXPECT_GT(result.series.bytes, 0u);
   EXPECT_TRUE(result.monitor.enabled);  // monitored scenario

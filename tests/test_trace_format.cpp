@@ -11,6 +11,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -136,8 +137,8 @@ TEST(TraceFormat, CapturedRunBytesIdenticalAcrossShardsAndHeapPin) {
     s.shards = shards;
     s.trace_path = path;
     const exp::RunResult result = run_point(s, 1);
-    EXPECT_TRUE(result.trace.enabled);
-    EXPECT_GT(result.trace.records, 0.0);
+    EXPECT_EQ(result.trace.files, 1u);
+    EXPECT_GT(result.trace.records, 0u);
     return read_file(path);
   };
 
@@ -166,13 +167,13 @@ TEST(TraceFormat, TorusMonitoredSliceIdenticalAcrossShardsViaBatchRuns) {
     s.shards = shards;
     s.trace_path = path;
     const exp::RunResult result = run_point(s, 1);
-    EXPECT_TRUE(result.trace.enabled);
-    EXPECT_GT(result.trace.records, 0.0);
+    EXPECT_EQ(result.trace.files, 1u);
+    EXPECT_GT(result.trace.records, 0u);
     // Pure-receive pulses drained through the ordered batch channel.
-    EXPECT_GT(result.queue.ordered_run_events, 0.0) << "shards=" << shards;
+    EXPECT_GT(result.queue.ordered_run_events, 0u) << "shards=" << shards;
     // Broadcast fan-outs rode the narrow lane via coalesced group inserts.
-    EXPECT_GT(result.queue.narrow_events, 0.0) << "shards=" << shards;
-    EXPECT_GT(result.queue.group_inserts, 0.0) << "shards=" << shards;
+    EXPECT_GT(result.queue.narrow_events, 0u) << "shards=" << shards;
+    EXPECT_GT(result.queue.group_inserts, 0u) << "shards=" << shards;
     return read_file(path);
   };
 
@@ -219,6 +220,24 @@ TEST(TraceFormat, DiffLocalizesSingleBitCorruption) {
   EXPECT_EQ(diff.offset_a, target);
   EXPECT_EQ(diff.offset_b, target);
   EXPECT_FALSE(diff.reason.empty());
+}
+
+// A full disk is an error that names the file, whether it hits a
+// mid-stream frame flush or finish()'s final flush.
+TEST(TraceFormat, WriterErrorsNameThePath) {
+  std::FILE* probe = std::fopen("/dev/full", "wb");
+  if (probe == nullptr) GTEST_SKIP() << "no /dev/full on this system";
+  std::fclose(probe);
+  for (int records : {20000, 10}) {
+    try {
+      write_trace("/dev/full", golden_records(records));
+      ADD_FAILURE() << "no error writing " << records << " records";
+    } catch (const std::runtime_error& error) {
+      EXPECT_NE(std::string(error.what()).find("'/dev/full'"),
+                std::string::npos)
+          << error.what();
+    }
+  }
 }
 
 TEST(TraceFormat, ReaderRejectsTruncationAndBadMagic) {
